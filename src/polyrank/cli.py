@@ -50,6 +50,17 @@ def _default_budget() -> int:
     return DEFAULT_BUDGET
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _parse_vars(text: str) -> VarSet:
     names = tuple(name.strip() for name in text.split(",") if name.strip())
     return VarSet(names)
@@ -211,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--sets", choices=_GENERATOR_KINDS, default="random_int",
                           help="set generator recipe")
     p_expand.add_argument("--seed", type=int, default=0)
-    p_expand.add_argument("--budget", type=int, default=None,
+    p_expand.add_argument("--budget", type=_positive_int, default=None,
                           help="max grid tuples (default POLYRANK_BUDGET or 10^8)")
-    p_expand.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_expand.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
     p_expand.add_argument("--output", choices=("json", "csv"), default="json")
     p_expand.add_argument("--degenerate", type=int, default=None, metavar="K",
                           help="run the many-variables collapse demo with K extra variables")
@@ -223,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_poly_args(p_inc)
     p_inc.add_argument("--sets", required=True, help="'kind:n' or explicit 'a,b|c,d|...'")
     p_inc.add_argument("--seed", type=int, default=0)
-    p_inc.add_argument("--budget", type=int, default=None)
+    p_inc.add_argument("--budget", type=_positive_int, default=None)
     p_inc.add_argument("--eps", type=float, default=0.1)
     p_inc.set_defaults(func=_cmd_incidence)
 
@@ -250,6 +261,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:
         print(f"polyrank: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("polyrank: error: out of memory", file=sys.stderr)
         return 1
 
 

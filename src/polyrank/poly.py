@@ -18,6 +18,13 @@ Term order is graded lexicographic with respect to the variable order of
 the owning :class:`VarSet` (total degree first, ties broken left to right).
 The canonical printer emits terms in descending graded-lex order, which
 makes printing deterministic and round-trippable through the parser.
+
+Exact division (:func:`exact_div`, the inner step of fraction-free
+elimination) packs each monomial into one integer, total degree in the top
+field and then x1 ... xk, so that integer order is graded-lex order.  The
+remainder's leading term comes off a lazy max-heap of packed keys instead
+of a rescan of the whole remainder, and a guard bit per field decides
+divisibility by the divisor's leading term with one subtraction.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add as _add
+from heapq import heapify, heappop, heappush
+from operator import add as _add, mul as _mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -565,6 +573,17 @@ def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
     Leading-term division under the graded-lex order: whenever p is a true
     multiple of the divisor the leading term of the remainder stays divisible,
     so the loop terminates with remainder zero.
+
+    Each monomial is packed into one integer: total degree in the top field,
+    then x1 ... xk, each field ``deg.bit_length() + 1`` bits wide, where
+    ``deg`` is the larger total degree of the operands.  Integer order is
+    then graded-lex order, and adding or subtracting keys adds or subtracts
+    exponent vectors.  The top bit of each field is a guard bit: the
+    remainder's leading term is divisible by the divisor's exactly when
+    subtracting the divisor's key from the remainder key with every guard
+    bit set leaves every guard bit standing (no field borrowed).  The
+    remainder is a dict from packed key to coefficient with a lazy max-heap
+    of its keys; a popped key that has since cancelled out is skipped.
     """
     if divisor.vars != p.vars:
         raise ValueError("operands must share a variable set")
@@ -572,26 +591,59 @@ def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero:
         return p
-    md, cd = divisor.leading_term()
-    div_items = list(divisor.terms.items())
-    quotient: dict[Exponents, Scalar] = {}
-    rem = dict(p.terms)
-    while rem:
-        mr = max(rem, key=grlex_key)
-        cr = rem[mr]
-        mq = tuple(a - b for a, b in zip(mr, md))
-        if any(e < 0 for e in mq):
+    k = p.vars.k
+    # Every remainder term has total degree <= deg(p), and so has every
+    # exponent; the divisor gets its own bound so that its keys fit too.
+    deg = max(p.total_degree(), divisor.total_degree())
+    width = deg.bit_length() + 1
+    shifts = [width * (k - 1 - i) for i in range(k)]
+    # each exponent counts once in its own field and once in the degree field
+    weights = [(1 << (width * k)) | (1 << s) for s in shifts]
+    guard = sum(1 << (width - 1 + width * i) for i in range(k + 1))
+
+    def pack(m: Exponents) -> int:
+        return sum(map(_mul, m, weights))
+
+    div_items = sorted(((pack(m), c) for m, c in divisor.terms.items()), reverse=True)
+    kd, cd = div_items[0]
+    tail = div_items[1:]
+    int_lead = type(cd) is int
+    rem = {pack(m): c for m, c in p.terms.items()}
+    heap = [-key for key in rem]
+    heapify(heap)
+    get = rem.get
+    quotient: list[tuple[int, Scalar]] = []
+    while heap:
+        kr = -heappop(heap)
+        cr = get(kr)
+        if cr is None:
+            continue
+        kq = (kr | guard) - kd
+        if kq & guard != guard:
             raise ValueError("inexact polynomial division")
-        cq = _ratio(cr, cd)
-        quotient[mq] = quotient.get(mq, 0) + cq
-        for m2, c2 in div_items:
-            key = tuple(map(_add, mq, m2))
-            s = rem.get(key, 0) - cq * c2
-            if s:
-                rem[key] = s
+        kq ^= guard
+        if int_lead and type(cr) is int and not cr % cd:
+            cq = cr // cd
+        else:
+            cq = _ratio(cr, cd)
+        quotient.append((kq, cq))
+        del rem[kr]
+        for kt, ct in tail:
+            key = kq + kt
+            c = get(key)
+            if c is None:
+                rem[key] = -cq * ct
+                heappush(heap, -key)
             else:
-                rem.pop(key, None)
-    return Polynomial._raw(p.vars, {m: c for m, c in quotient.items() if c})
+                s = c - cq * ct
+                if s:
+                    rem[key] = s
+                else:
+                    del rem[key]
+    mask = (1 << (width - 1)) - 1
+    return Polynomial._raw(
+        p.vars, {tuple((kq >> s) & mask for s in shifts): cq for kq, cq in quotient}
+    )
 
 
 def product(vars: VarSet, factors: Iterable[Polynomial]) -> Polynomial:

@@ -1,5 +1,6 @@
 """Command-line interface: flags, output schemas, determinism, exit codes."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -116,6 +117,34 @@ def test_precondition_violation_is_1(capsys):
                              "--pivot", "x1")
     assert code == 1
     assert "no reduction" in err
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--budget"])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_nonpositive_count_flags_are_usage_errors(capsys, flag, value):
+    code, out, err = run_cli(capsys, "expand", "--poly", "x1*x2+x3", "--vars", "x1,x2,x3",
+                             "--sets", "interval", "--n", "3,4,5", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "positive integer" in err
+
+
+def test_incidence_budget_must_be_positive(capsys):
+    code, _, err = run_cli(capsys, "incidence", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3",
+                           "--sets", "interval:3", "--budget", "0")
+    assert code == 2
+    assert "positive integer" in err
+
+
+def test_memory_error_is_1(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(importlib.import_module("polyrank.cli"), "_cmd_rank", exhausted)
+    code, out, err = run_cli(capsys, "rank", "--poly", "x1", "--vars", "x1")
+    assert code == 1
+    assert out == ""
+    assert err == "polyrank: error: out of memory\n"
 
 
 def test_budget_env_override(capsys, monkeypatch):

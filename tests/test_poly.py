@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polyrank import (
     NEG_INF,
@@ -17,6 +17,7 @@ from polyrank import (
     parse,
     project,
 )
+from polyrank.poly import _ratio, grlex_key
 from gens import sparse_random_polynomial, var_set
 
 V3 = var_set(3)
@@ -181,6 +182,116 @@ def test_exact_div():
         exact_div(P("x1^2 + 1"), P("x1 + 1"))
     with pytest.raises(ZeroDivisionError):
         exact_div(f, P("0"))
+
+
+def _reference_exact_div(p, divisor):
+    """Term map of p / divisor by the plain leading-term loop, which rescans
+    the whole remainder for its graded-lex maximum at every step."""
+    md, cd = divisor.leading_term()
+    quotient = {}
+    rem = dict(p.terms)
+    while rem:
+        mr = max(rem, key=grlex_key)
+        cr = rem[mr]
+        mq = tuple(a - b for a, b in zip(mr, md))
+        if any(e < 0 for e in mq):
+            raise ValueError("inexact polynomial division")
+        cq = _ratio(cr, cd)
+        quotient[mq] = quotient.get(mq, 0) + cq
+        for m2, c2 in divisor.terms.items():
+            key = tuple(a + b for a, b in zip(mq, m2))
+            s = rem.get(key, 0) - cq * c2
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    return {m: c for m, c in quotient.items() if c}
+
+
+def _typed(terms):
+    return {m: (c, type(c)) for m, c in terms.items()}
+
+
+coefficients = st.one_of(
+    st.integers(-50, 50).filter(bool),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool),
+)
+
+
+@st.composite
+def division_cases(draw, max_exponent=2**20):
+    """(p, d) over a random k = 1..5, with nonzero p and d.  Exponents up to
+    2**20 make the packed fields of exact_div up to 24 bits wide."""
+    k = draw(st.integers(1, 5))
+    vars = var_set(k)
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, max_exponent))
+
+    def poly():
+        return Polynomial(vars, draw(st.dictionaries(
+            st.tuples(*[exponent] * k), coefficients, min_size=1, max_size=4)))
+
+    return poly(), poly()
+
+
+@settings(deadline=None, max_examples=150)
+@given(division_cases())
+def test_exact_div_matches_reference(case):
+    p, d = case
+    # products keep integral Fractions as Fraction; the constructor turns
+    # them into int, which reaches the int-by-int inexact coefficient path
+    for n in (p * d, Polynomial(p.vars, (p * d).terms)):
+        got = exact_div(n, d)
+        assert got == p
+        assert _typed(got.terms) == _typed(_reference_exact_div(n, d))
+
+
+@settings(deadline=None, max_examples=150)
+@given(division_cases(), st.data())
+def test_exact_div_rejects_multiple_plus_monomial(case, data):
+    p, d = case
+    lead, _ = d.leading_term()
+    assume(any(lead))
+    # m lies outside the ideal of lead(d), hence outside (d): one of its
+    # exponents stays below the leading monomial's
+    m = list(data.draw(st.tuples(*[st.integers(0, 2**20)] * p.vars.k)))
+    i = data.draw(st.sampled_from([i for i, e in enumerate(lead) if e]))
+    m[i] = data.draw(st.integers(0, lead[i] - 1))
+    n = p * d + Polynomial(p.vars, {tuple(m): 1})
+    with pytest.raises(ValueError, match="inexact"):
+        exact_div(n, d)
+    with pytest.raises(ValueError, match="inexact"):
+        _reference_exact_div(n, d)
+
+
+@settings(deadline=None)
+@given(division_cases())
+def test_exact_div_rejects_higher_degree_divisor(case):
+    p, d = case
+    x1 = Polynomial.variable(p.vars, p.vars.names[0])
+    higher = d * x1 ** (int(p.total_degree()) + 1)
+    with pytest.raises(ValueError, match="inexact"):
+        exact_div(p, higher)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(p, Polynomial.zero(p.vars))
+
+
+# sympy's polynomials are dense, so this oracle gets small exponents only.
+@settings(deadline=None, max_examples=60)
+@given(division_cases(max_exponent=6))
+def test_exact_div_agrees_with_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, d = case
+    gens = sympy.symbols(p.vars.names)
+
+    def to_sympy(f):
+        return sympy.Poly.from_dict({m: sympy.Rational(c) for m, c in f.terms.items()},
+                                    *gens, domain="QQ")
+
+    expected = to_sympy(p * d).exquo(to_sympy(d))
+    got = exact_div(p * d, d)
+    assert got.terms == {
+        m: Fraction(int(c.p), int(c.q)) for m, c in expected.as_dict().items()
+    }
 
 
 def test_rational_function_cross_multiplication():
