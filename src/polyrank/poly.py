@@ -19,6 +19,18 @@ the owning :class:`VarSet` (total degree first, ties broken left to right).
 The canonical printer emits terms in descending graded-lex order, which
 makes printing deterministic and round-trippable through the parser.
 
+Products pick one of two kernels from the operands.  When the product's
+exponent box has few enough positions ("slots") that packing both operands
+and reading every slot back costs less than visiting every term pair
+(``slots + |a| + |b| <= |a| * |b|``), the product is computed by Kronecker
+substitution: each operand becomes one integer with a fixed number of bytes
+per slot, the slot of an exponent vector being its value in the mixed
+radix ``R_i = deg_i(a) + deg_i(b) + 1``; one big-integer multiply forms
+every coefficient, and a bias of half a slot's range on every slot lets
+signed coefficients be read back byte by byte.  Otherwise a loop over the
+term pairs is cheaper.  Rational operands are scaled to integers by the
+lcm of their denominators first and the product divided once at the end.
+
 Exact division (:func:`exact_div`, the inner step of fraction-free
 elimination) packs each monomial into one integer, total degree in the top
 field and then x1 ... xk, so that integer order is graded-lex order.  The
@@ -30,9 +42,13 @@ divisibility by the divisor's leading term with one subtraction.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import product as _cartesian
+from math import lcm
 from operator import add as _add, mul as _mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -42,10 +58,6 @@ Exponents = tuple[int, ...]
 #: Degree reported for the zero polynomial.  Using -inf instead of -1 keeps
 #: ``degree + 1`` from silently producing a plausible-looking length.
 NEG_INF = float("-inf")
-
-#: Term-pair count above which multiplication packs exponent vectors into
-#: integers (see Polynomial._mul_packed).
-_PACK_THRESHOLD = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
@@ -126,6 +138,122 @@ def _ratio(numerator: Scalar, denominator: Scalar) -> Scalar:
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     """Graded-lex sort key: total degree first, then the exponent vector."""
     return (sum(exponents), exponents)
+
+
+def _integral(terms: dict[Exponents, Scalar]) -> tuple[dict[Exponents, int], int]:
+    """``(n, s)`` with ``terms == n / s``, n integral and s the lcm of the
+    denominators; ``terms`` itself when it holds no Fraction."""
+    if Fraction not in map(type, terms.values()):
+        return terms, 1  # type: ignore[return-value]
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}, scale
+
+
+def _is_dense(a: dict[Exponents, Scalar], b: dict[Exponents, Scalar]) -> bool:
+    """Whether Kronecker substitution does less work than the pair loop.
+
+    The loop visits ``|a| * |b|`` term pairs; Kronecker substitution packs
+    ``|a| + |b|`` terms and unpacks one slot per position of the product's
+    exponent box, ``slots = R_1 * ... * R_k`` with ``R_i = deg_i(a) +
+    deg_i(b) + 1``.  The count of slots stops once it exceeds the budget, so
+    a sparse pair such as x1^100000000*x2 squared costs no more than a few
+    comparisons.  The box holds every exponent of the product, and a sum
+    set of |a| and |b| points of Z^k has at least ``|a| + |b| - 1`` points,
+    so small operands are decided without looking at their exponents.
+    """
+    budget = len(a) * len(b) - len(a) - len(b)
+    if budget < len(a) + len(b) - 1:
+        return False
+    slots = 1
+    for da, db in zip(map(max, zip(*a)), map(max, zip(*b))):
+        slots *= da + db + 1
+        if slots > budget:
+            return False
+    return True
+
+
+def _mul_sparse(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponents, int]:
+    """Product term map by a loop over all term pairs."""
+    b_items = list(b.items())
+    out: dict[Exponents, int] = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b_items:
+            m = tuple(map(_add, ma, mb))
+            s = get(m, 0) + ca * cb
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+#: array typecode of an unsigned machine integer of each byte width.
+_WORD_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _mul_dense(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponents, int]:
+    """Product term map by Kronecker substitution (integer coefficients).
+
+    Exponent vector m sits at slot ``sum(m_i * stride_i)`` of a mixed-radix
+    number with radices ``R_i = deg_i(a) + deg_i(b) + 1`` (the last
+    variable varies fastest, as in ``itertools.product``); since the
+    product's exponents stay below the radices, adding slot indices adds
+    exponent vectors without carries.  Each operand becomes one integer
+    with ``width`` bytes per slot, its positive and negative coefficients
+    written into two byte buffers and subtracted, and one big-integer
+    product, which CPython computes by Karatsuba, holds every coefficient
+    of the result.  A product coefficient sums at most ``min(|a|, |b|)``
+    term pairs, so it is at most ``bound = min(|a|, |b|) * max|a_c| *
+    max|b_c|`` in absolute value, and ``width`` leaves room for a sign bit
+    above that.  Adding ``2^(8*width - 1)`` to every slot makes every slot
+    nonnegative, which undoes the borrows negative slots took from the next
+    one; the slots are then read back from the bytes and the bias taken off.
+    """
+    a_deg = list(map(max, zip(*a)))
+    b_deg = list(map(max, zip(*b)))
+    radices = [da + db + 1 for da, db in zip(a_deg, b_deg)]
+    strides = [1] * len(radices)
+    for i in range(len(radices) - 1, 0, -1):
+        strides[i - 1] = strides[i] * radices[i]
+    slots = strides[0] * radices[0]
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = bound.bit_length() // 8 + 1
+    if width <= 8:
+        # a machine word per slot, so that array() reads the slots in C
+        width = 1 << (width - 1).bit_length()
+    bias = 1 << (8 * width - 1)
+    packed = _kronecker_pack(a, a_deg, strides, width) * _kronecker_pack(b, b_deg, strides, width)
+    packed += int.from_bytes(bias.to_bytes(width, "little") * slots, "little")
+    data = packed.to_bytes(slots * width, "little")
+    values: Sequence[int]
+    if width in _WORD_TYPECODES:
+        values = words = array(_WORD_TYPECODES[width], data)
+        if sys.byteorder == "big":
+            words.byteswap()
+    else:
+        values = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return {
+        m: c - bias
+        for m, c in zip(_cartesian(*map(range, radices)), values)
+        if c != bias
+    }
+
+
+def _kronecker_pack(
+    terms: dict[Exponents, int], degrees: list[int], strides: list[int], width: int
+) -> int:
+    """One integer holding ``terms``, ``width`` bytes per slot (see _mul_dense)."""
+    size = (sum(map(_mul, degrees, strides)) + 1) * width
+    positive = bytearray(size)
+    negative = bytearray(size)
+    for m, c in terms.items():
+        i = sum(map(_mul, m, strides)) * width
+        if c > 0:
+            positive[i:i + width] = c.to_bytes(width, "little")
+        else:
+            negative[i:i + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
 class Polynomial:
@@ -270,80 +398,41 @@ class Polynomial:
         return q + (-self)
 
     def __mul__(self, other: object) -> "Polynomial":
+        """Product of two polynomials, by one of two exact kernels.
+
+        Rational operands are first scaled to integer term maps by the lcm
+        of their denominators, and the integer product is divided by the
+        two scales once at the end, so integral values come out as int and
+        the others as Fraction in lowest terms.
+
+        The kernel follows from the operands alone.  Let each variable have
+        the radix ``R_i = deg_i(a) + deg_i(b) + 1``: the product's exponents
+        fit in ``slots = R_1 * ... * R_k`` dense positions.  When
+        ``slots + |a| + |b| <= |a| * |b|`` (:func:`_is_dense`), the product
+        goes through Kronecker substitution (:func:`_mul_dense`), whose cost
+        is one big-integer multiply plus linear work per term and per slot;
+        otherwise the loop over term pairs (:func:`_mul_sparse`) is cheaper
+        and never allocates a dense buffer.
+        """
         q = self._coerce(other)
         if q is None:
             return NotImplemented
         if not self._terms or not q._terms:
             return Polynomial.zero(self.vars)
+        a, a_scale = _integral(self._terms)
+        b, b_scale = _integral(q._terms)
         # iterate the smaller factor outside; hot path for everything above
-        a, b = self._terms, q._terms
         if len(a) > len(b):
             a, b = b, a
-        if len(a) * len(b) >= _PACK_THRESHOLD:
-            return self._mul_packed(a, b)
-        b_items = list(b.items())
-        out: dict[Exponents, Scalar] = {}
-        get = out.get
-        for ma, ca in a.items():
-            for mb, cb in b_items:
-                m = tuple(map(_add, ma, mb))
-                s = get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        out = _mul_dense(a, b) if _is_dense(a, b) else _mul_sparse(a, b)
+        scale = a_scale * b_scale
+        if scale != 1:
+            for m, c in out.items():
+                c = Fraction(c, scale)
+                out[m] = c.numerator if c.denominator == 1 else c
         return Polynomial._raw(self.vars, out)
 
     __rmul__ = __mul__
-
-    def _mul_packed(self, a: dict[Exponents, Scalar], b: dict[Exponents, Scalar]) -> "Polynomial":
-        """Multiplication with exponent vectors packed into single integers.
-
-        Each variable gets a bit field wide enough for the largest exponent
-        of the product, so adding packed keys adds exponent vectors without
-        carries between fields.  For large term counts this beats building
-        a tuple per term pair by a wide margin.
-        """
-        k = self.vars.k
-        a_max = [0] * k
-        b_max = [0] * k
-        for m in a:
-            for i, e in enumerate(m):
-                if e > a_max[i]:
-                    a_max[i] = e
-        for m in b:
-            for i, e in enumerate(m):
-                if e > b_max[i]:
-                    b_max[i] = e
-        offsets = [0] * k
-        shift = 0
-        for i in range(k):
-            offsets[i] = shift
-            shift += (a_max[i] + b_max[i]).bit_length() or 1
-
-        def pack(m: Exponents) -> int:
-            key = 0
-            for i, e in enumerate(m):
-                key |= e << offsets[i]
-            return key
-
-        packed_b = [(pack(m), c) for m, c in b.items()]
-        out: dict[int, Scalar] = {}
-        get = out.get
-        for ma, ca in a.items():
-            ka = pack(ma)
-            for kb, cb in packed_b:
-                key = ka + kb
-                s = get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        masks = [(1 << ((a_max[i] + b_max[i]).bit_length() or 1)) - 1 for i in range(k)]
-        unpacked: dict[Exponents, Scalar] = {}
-        for key, c in out.items():
-            unpacked[tuple((key >> offsets[i]) & masks[i] for i in range(k))] = c
-        return Polynomial._raw(self.vars, unpacked)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -471,71 +560,6 @@ class Polynomial:
         return f"Polynomial({', '.join(self.vars.names)}: {self})"
 
 
-class RationalFunction:
-    """A formal quotient of polynomials with a nonzero denominator.
-
-    No reduction to lowest terms is ever performed; equality is decided by
-    cross-multiplication (p/q == r/s iff p*s == r*q), which only needs exact
-    polynomial arithmetic.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial):
-        if den.vars != num.vars:
-            raise ValueError("numerator and denominator must share a variable set")
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RationalFunction instances are immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num * other.den == other.num * self.den
-        if isinstance(other, (Polynomial, int, Fraction)):
-            return self == RationalFunction(
-                other if isinstance(other, Polynomial) else Polynomial.constant(self.num.vars, other),
-                Polynomial.constant(self.num.vars, 1),
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:  # pragma: no cover - unhashable by design
-        raise TypeError("RationalFunction is not hashable (equality is up to cross-multiplication)")
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def partial(self, name: str) -> "RationalFunction":
-        """Quotient-rule derivative; the denominator squares."""
-        return RationalFunction(
-            self.num.partial(name) * self.den - self.num * self.den.partial(name),
-            self.den * self.den,
-        )
-
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-    __repr__ = __str__
-
-
 def project(p: Polynomial, names: Sequence[str]) -> Polynomial:
     """Re-express ``p`` over the sub-variable-set ``names`` (in that order).
 
@@ -584,6 +608,12 @@ def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
     bit set leaves every guard bit standing (no field borrowed).  The
     remainder is a dict from packed key to coefficient with a lazy max-heap
     of its keys; a popped key that has since cancelled out is skipped.
+
+    Quotient terms come out in decreasing order, and an exact quotient q has
+    ``trail(q) * trail(divisor) == trail(p)`` (trail: the least term), so a
+    quotient key below ``key(trail(p)) - key(trail(divisor))`` proves the
+    division inexact.  That stops ``x1^n / (2*x1 + 3)`` at its first step
+    instead of after n quotient terms.
     """
     if divisor.vars != p.vars:
         raise ValueError("operands must share a variable set")
@@ -609,6 +639,7 @@ def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
     tail = div_items[1:]
     int_lead = type(cd) is int
     rem = {pack(m): c for m, c in p.terms.items()}
+    least = min(rem) - div_items[-1][0]
     heap = [-key for key in rem]
     heapify(heap)
     get = rem.get
@@ -619,7 +650,7 @@ def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
         if cr is None:
             continue
         kq = (kr | guard) - kd
-        if kq & guard != guard:
+        if kq & guard != guard or kq ^ guard < least:
             raise ValueError("inexact polynomial division")
         kq ^= guard
         if int_lead and type(cr) is int and not cr % cd:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,14 +11,14 @@ from polyrank import (
     NEG_INF,
     ParseError,
     Polynomial,
-    RationalFunction,
     VarSet,
     embed,
     exact_div,
     parse,
     project,
 )
-from polyrank.poly import _ratio, grlex_key
+from polyrank import poly
+from polyrank.poly import _as_scalar, _ratio, grlex_key
 from gens import sparse_random_polynomial, var_set
 
 V3 = var_set(3)
@@ -184,6 +185,19 @@ def test_exact_div():
         exact_div(f, P("0"))
 
 
+def test_exact_div_rejects_at_the_trailing_term(monkeypatch):
+    # walking down the quotient x1^(2^16-1)/2 - 3*x1^(2^16-2)/4 + ... would
+    # take 2^16 steps, each dividing a coefficient by 2; the trailing terms
+    # x1^(2^16) and 3 prove the division inexact before the first one
+    V1 = var_set(1)
+    p, d = P(f"x1^{2**16}", V1), P("2*x1 + 3", V1)
+    steps = []
+    monkeypatch.setattr(poly, "_ratio", lambda *args: steps.append(args) or _ratio(*args))
+    with pytest.raises(ValueError, match="inexact"):
+        exact_div(p, d)
+    assert steps == []
+
+
 def _reference_exact_div(p, divisor):
     """Term map of p / divisor by the plain leading-term loop, which rescans
     the whole remainder for its graded-lex maximum at every step."""
@@ -237,12 +251,12 @@ def division_cases(draw, max_exponent=2**20):
 @given(division_cases())
 def test_exact_div_matches_reference(case):
     p, d = case
-    # products keep integral Fractions as Fraction; the constructor turns
-    # them into int, which reaches the int-by-int inexact coefficient path
-    for n in (p * d, Polynomial(p.vars, (p * d).terms)):
-        got = exact_div(n, d)
-        assert got == p
-        assert _typed(got.terms) == _typed(_reference_exact_div(n, d))
+    # products store integral values as int, so an int coefficient of n
+    # over a Fraction p reaches the int-by-int inexact coefficient path
+    n = p * d
+    got = exact_div(n, d)
+    assert got == p
+    assert _typed(got.terms) == _typed(_reference_exact_div(n, d))
 
 
 @settings(deadline=None, max_examples=150)
@@ -294,20 +308,132 @@ def test_exact_div_agrees_with_sympy(case):
     }
 
 
-def test_rational_function_cross_multiplication():
-    num = P("x1*x2 + x1*x3")
-    den = P("x2 + x3")
-    assert RationalFunction(num, den) == RationalFunction(P("x1"), P("1"))
-    assert RationalFunction(P("x1"), P("x2")) != RationalFunction(P("x1"), P("x3"))
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction(P("x1"), P("0"))
+# ---------------------------------------------------------------- products
+
+def _reference_mul(p, q):
+    """Term map of p * q by the plain loop over all term pairs, on the
+    stored values, with integral results stored as int."""
+    out = {}
+    for ma, ca in p.terms.items():
+        for mb, cb in q.terms.items():
+            m = tuple(a + b for a, b in zip(ma, mb))
+            s = out.get(m, 0) + ca * cb
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return {m: _as_scalar(c) for m, c in out.items()}
 
 
-def test_rational_function_partial_is_quotient_rule():
-    ratio = RationalFunction(P("x1"), P("x2"))
-    d = ratio.partial("x2")
-    assert d == RationalFunction(P("-x1"), P("x2^2"))
-    assert ratio.partial("x3").is_zero
+# values above 2^64 need Kronecker slots wider than a machine word
+wide_coefficients = st.one_of(
+    st.integers(-2**90, 2**90).filter(bool),
+    st.builds(Fraction, st.integers(-2**70, 2**70).filter(bool), st.integers(1, 2**40)),
+)
+
+
+@st.composite
+def product_cases(draw, max_exponent=2**20):
+    """(p, q) over a random k = 1..5, nonzero.  Dense cases fill most of a
+    box of exponents, so that most of them take the Kronecker kernel;
+    sparse cases draw a few terms with exponents up to max_exponent."""
+    k = draw(st.integers(1, 5))
+    vars = var_set(k)
+    coefficient = draw(st.sampled_from([coefficients, wide_coefficients]))
+    if draw(st.booleans()):
+        degree = (3, 2, 2, 1, 1)[k - 1]
+        box = (degree + 1) ** k
+        exponents = st.tuples(*[st.integers(0, degree)] * k)
+        sizes = {"min_size": box * 2 // 3, "max_size": box}
+    else:
+        exponents = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, max_exponent))] * k)
+        sizes = {"min_size": 1, "max_size": 4}
+
+    def operand():
+        return Polynomial(vars, draw(st.dictionaries(exponents, coefficient, **sizes)))
+
+    return operand(), operand()
+
+
+@settings(deadline=None, max_examples=200)
+@given(product_cases())
+def test_mul_matches_reference(case):
+    p, q = case
+    assert _typed((p * q).terms) == _typed(_reference_mul(p, q))
+    assert _typed((q * p).terms) == _typed(_reference_mul(p, q))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 5), st.data())
+def test_mul_cancelling_slots(k, data):
+    # (u + c)^n * (u - c)^n = (u^2 - c^2)^n: every odd power of u cancels
+    # to zero; for u = x_i^e and n large enough the Kronecker kernel runs
+    vars = var_set(k)
+    u = Polynomial.variable(vars, data.draw(st.sampled_from(vars.names))) ** data.draw(st.integers(1, 3))
+    c = data.draw(st.one_of(coefficients, wide_coefficients))
+    n = data.draw(st.integers(1, 8))
+    a, b = (u + c) ** n, (u - c) ** n
+    got = a * b
+    assert _typed(got.terms) == _typed(_reference_mul(a, b))
+    assert len(got.terms) == n + 1
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.one_of(coefficients, wide_coefficients),
+       st.one_of(coefficients, wide_coefficients))
+def test_mul_of_constants(k, c1, c2):
+    vars = var_set(k)
+    got = Polynomial.constant(vars, c1) * Polynomial.constant(vars, c2)
+    assert _typed(got.terms) == _typed({(0,) * k: _as_scalar(c1 * c2)})
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64, 65, 72, 128])
+def test_mul_coefficients_at_the_slot_bound(bits):
+    # c*(1 + x1 + x1^2 + x1^3) squared: the x1^3 coefficient 4c^2 equals
+    # the bound min(|a|,|b|) * max|a_c| * max|b_c| the slot width is sized
+    # from, and has `bits` bits, so a slot without room for the sign shows
+    c = isqrt((2**bits - 1) // 4)
+    assert (4 * c * c).bit_length() == bits
+    a = P(f"{c} + {c}*x1 + {c}*x1^2 + {c}*x1^3")
+    for b in (a, -a):
+        assert poly._is_dense(a.terms, b.terms)
+        assert _typed((a * b).terms) == _typed(_reference_mul(a, b))
+
+
+def test_mul_kernel_follows_slots_and_pairs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the other product kernel was expected")
+
+    sparse = (P("x1^100000000*x2"), P("x1^100000000*x2 + 1"))
+    sparse_product = P("x1^200000000*x2^2 + x1^100000000*x2")
+    # 7 slots + 4 + 4 terms <= 16 pairs
+    dense = (P("1 + x1 + x1^2 + x1^3"), P("1 - x1 + x1^2 - x1^3"))
+    dense_product = P("1 + x1^2 - x1^4 - x1^6")
+    assert not poly._is_dense(sparse[0].terms, sparse[1].terms)
+    assert poly._is_dense(dense[0].terms, dense[1].terms)
+    monkeypatch.setattr(poly, "_mul_dense", refuse)
+    assert sparse[0] * sparse[1] == sparse_product
+    monkeypatch.undo()
+    monkeypatch.setattr(poly, "_mul_sparse", refuse)
+    assert dense[0] * dense[1] == dense_product
+
+
+# sympy's polynomials are dense, so this oracle gets small exponents only.
+@settings(deadline=None, max_examples=60)
+@given(product_cases(max_exponent=6))
+def test_mul_agrees_with_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, q = case
+    gens = sympy.symbols(p.vars.names)
+
+    def to_sympy(f):
+        return sympy.Poly.from_dict({m: sympy.Rational(c) for m, c in f.terms.items()},
+                                    *gens, domain="QQ")
+
+    expected = to_sympy(p).mul(to_sympy(q))
+    assert (p * q).terms == {
+        m: Fraction(int(c.p), int(c.q)) for m, c in expected.as_dict().items()
+    }
 
 
 # ---------------------------------------------------------------- properties

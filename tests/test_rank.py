@@ -132,6 +132,34 @@ def test_determinant_matches_cofactor_expansion():
         assert m.determinant() == expected
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_determinant_agrees_with_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(V3.names)
+    rng = random.Random(600 + n)
+
+    def entry():
+        p = Polynomial.zero(V3)
+        while p.is_zero:
+            p = sparse_random_polynomial(rng, V3, max_deg=2, max_terms=3)
+        return p * Fraction(1, rng.randint(1, 4))
+
+    for trial in range(5):
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        if trial == 3:  # the pivot search has to look past zero entries
+            rows[0][0] = rows[1][1] = Polynomial.zero(V3)
+        if trial == 4:  # singular
+            rows[-1] = rows[0]
+        expected = sympy.Matrix(
+            [[sum(sympy.Rational(c) * sympy.prod([g ** e for g, e in zip(gens, m)]) for m, c in p.terms.items())
+              for p in row] for row in rows]
+        ).det(method="berkowitz")
+        expected_terms = sympy.Poly(sympy.expand(expected), *gens, domain="QQ").as_dict()
+        assert PolyMatrix(V3, rows).determinant().terms == {
+            m: Fraction(int(c.p), int(c.q)) for m, c in expected_terms.items() if c
+        }
+
+
 # ------------------------------------------------------------ randomized rank
 
 def test_randomized_rank_zero_matrix():
