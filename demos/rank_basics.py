@@ -15,10 +15,11 @@ f = parse("x1*x3 + x2*x3^2", vars3)
 print(f"f = {f}")
 
 cm = coefficient_map(f, "x3")
-print(f"coefficients of powers of x3: {[str(a) for a in cm.alphas]}")
+# only the nonzero coefficients are kept, keyed by their power of x3
+print(f"coefficients of powers of x3: {dict(zip(cm.exponents, map(str, cm.alphas)))}")
 
 jac = jacobian(cm)
-print(f"Jacobian (rows = coefficients, columns = x1, x2):\n  {jac}")
+print(f"Jacobian (rows = nonzero coefficients, columns = x1, x2):\n  {jac}")
 
 report = rank(f, method="exact")
 print(f"per-variable ranks: {report.per_variable}  ->  rank(f) = {report.overall}")
@@ -43,4 +44,5 @@ for text in ("x1*x2*x3", "(x1 + x2^2 + x3^3)^3", "x1*x2 + x3"):
 # points.  A full-rank evaluation certifies the rank from below, so for
 # these examples it returns the same numbers at a fraction of the cost.
 report = rank(parse("x1*x3 + x2*x3^2", vars3), method="randomized", seed=0)
-print(f"\nrandomized agrees: overall = {report.overall}, witness minor rows {report.witness.rows}")
+print(f"\nrandomized agrees: overall = {report.overall}, witness minor rows (powers of "
+      f"{report.witness_var}) {report.witness.rows}")

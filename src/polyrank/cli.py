@@ -20,6 +20,7 @@ from . import __version__
 from .expansion import (
     DEFAULT_BUDGET,
     SetSpec,
+    _set_seed,
     degenerate_demo,
     expansion_report,
     generate_set,
@@ -88,7 +89,7 @@ def _parse_sets(text: str, vars: VarSet, seed: int) -> list[tuple]:
     if kind not in _GENERATOR_KINDS:
         raise ValueError(f"unknown set kind {kind!r} (expected one of {', '.join(_GENERATOR_KINDS)})")
     n = int(n_text)
-    return [generate_set(SetSpec(kind, n, seed=seed * 7919 + i)) for i in range(vars.k)]
+    return [generate_set(SetSpec(kind, n, seed=_set_seed(seed, i))) for i in range(vars.k)]
 
 
 def _emit(document: dict, stream=None) -> None:

@@ -67,8 +67,10 @@ def build_instance(
 ) -> IncidenceInstance:
     """Build the full S / S_0 / S' decomposition and count incidences.
 
-    ``minor_rows``: indices of k-1 coefficient polynomials whose Jacobian
-    minor certifies rank k-1; found by the exact rank engine when omitted.
+    ``minor_rows``: pivot exponents i of k-1 coefficients alpha_i whose
+    Jacobian minor certifies rank k-1 (the labels rank reports for witness
+    rows); found by the exact rank engine when omitted.  An exponent whose
+    alpha_i is zero selects a singular minor.
     """
     vars = f.vars
     k = vars.k
@@ -81,11 +83,14 @@ def build_instance(
         r, witness = generic_rank_exact(jac)
         if r != k - 1:
             raise ValueError(f"rank with respect to {pivot} is {r}, need full rank {k - 1}")
-        minor_rows = witness.rows
+        minor_rows = tuple(cm.exponents[i] for i in witness.rows)
     minor_rows = tuple(sorted(minor_rows))
     if len(minor_rows) != k - 1:
         raise ValueError(f"witness must select {k - 1} coefficient rows")
-    minor_det = jac.submatrix(minor_rows, range(k - 1)).determinant()
+    row_of = {e: i for i, e in enumerate(cm.exponents)}
+    minor_det = Polynomial.zero(vars)  # an exponent with alpha_i = 0 is a zero row
+    if all(e in row_of for e in minor_rows):
+        minor_det = jac.submatrix([row_of[e] for e in minor_rows], range(k - 1)).determinant()
     if minor_det.is_zero:
         raise ValueError("the selected minor is singular; pick independent coefficient rows")
 
@@ -106,13 +111,18 @@ def build_instance(
     non_pivot = [name for name in vars.names if name != pivot]
     degenerate_suffixes = 0
     curve_mult: dict[CoeffVector, int] = {}
+    dense_zero = [Fraction(0)] * (cm.degree + 1)
     for suffix in iter_product(*suffix_sets):
         bindings = dict(zip(non_pivot, suffix))
         point = [bindings.get(name, 0) for name in vars.names]
         if minor_det.eval(point) == 0:
             degenerate_suffixes += 1
             continue
-        coeffs = tuple(alpha.eval(point) for alpha in cm.alphas)
+        # Scatter into the dense coefficient vector the Horner loop reads.
+        dense = dense_zero[:]
+        for e, alpha in zip(cm.exponents, cm.alphas):
+            dense[e] = alpha.eval(point)
+        coeffs = tuple(dense)
         curve_mult[coeffs] = curve_mult.get(coeffs, 0) + 1
 
     s0_size = degenerate_suffixes * len(a1)

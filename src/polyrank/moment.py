@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .expansion import SetSpec, fit_exponent, generate_set, theoretical_exponent
+from .expansion import SetSpec, _set_seed, fit_exponent, generate_set, theoretical_exponent
 from .poly import Polynomial, Scalar, VarSet, product
 from .rank import PolyMatrix, rank_in
 
@@ -229,7 +229,7 @@ def volume_expansion_report(
         raise ValueError("n_list must be nonempty and strictly increasing")
     rows = []
     for n in n_list:
-        params = generate_set(SetSpec(kind=generator, n=n, seed=seed * 7919))
+        params = generate_set(SetSpec(kind=generator, n=n, seed=_set_seed(seed, 0)))
         started = time.perf_counter()
         count = distinct_volumes(params, d, signed=signed).count
         rows.append((n, count, time.perf_counter() - started))

@@ -7,6 +7,12 @@ to v is the generic rank of the Jacobian of T, i.e. its rank as a matrix
 over the field of rational functions, and rank(f) is the maximum over all
 choices of pivot variable.  It always lies in [0, k-1] for a k-variate f.
 
+The map is stored sparsely: only the nonzero alpha_i are kept, labelled by
+their exponents i, so its Jacobian has one row per nonzero alpha_i rather
+than one per power of v up to deg_v(f).  A zero alpha_i only adds a zero
+row, which changes no rank; witness rows are reported as exponent labels,
+which are the row indices of the dense Jacobian over alpha_0..alpha_d.
+
 Two rank methods are provided:
 
 * ``exact``: fraction-free Bareiss elimination over the polynomial ring.
@@ -37,7 +43,7 @@ from .poly import NEG_INF, Polynomial, Scalar, VarSet, exact_div
 
 #: Sampling half-width multiplier for randomized evaluation: coordinates are
 #: drawn from [-B, B] with B = 2^16 * (total degree + 1), keeping the
-#: per-trial failure probability below deg / (2B + 1).
+#: per-trial failure probability below deg / (2B + 1) (see ``sample_point``).
 SAMPLE_SCALE = 1 << 16
 
 
@@ -50,14 +56,19 @@ class Witness(NamedTuple):
 
 @dataclass(frozen=True)
 class CoefficientMap:
-    """The coefficients alpha_0..alpha_d of f in a chosen pivot variable."""
+    """The nonzero coefficients alpha_i of f in a chosen pivot variable.
+
+    ``exponents`` lists, in ascending order, the powers i of the pivot
+    with alpha_i != 0, and ``alphas`` the matching coefficients.
+    """
 
     pivot_var: str
+    exponents: tuple[int, ...]
     alphas: tuple[Polynomial, ...]
 
     @property
     def degree(self) -> int:
-        return len(self.alphas) - 1
+        return self.exponents[-1]
 
     @property
     def vars(self) -> VarSet:
@@ -65,37 +76,34 @@ class CoefficientMap:
 
     def reconstruct(self) -> Polynomial:
         """Sum alpha_i * pivot^i; recovers the original polynomial exactly."""
-        vars = self.vars
-        v = Polynomial.variable(vars, self.pivot_var)
-        total = Polynomial.zero(vars)
-        power = Polynomial.constant(vars, 1)
-        for alpha in self.alphas:
-            total = total + alpha * power
-            power = power * v
+        v = Polynomial.variable(self.vars, self.pivot_var)
+        total = Polynomial.zero(self.vars)
+        for e, alpha in zip(self.exponents, self.alphas):
+            total = total + alpha * v**e
         return total
 
 
 def coefficient_map(f: Polynomial, v: str) -> CoefficientMap:
-    """Split f by powers of the pivot variable ``v``.
+    """Split f by powers of the pivot variable ``v``, keeping the nonzero
+    coefficients only.
 
     The alphas stay expressed over the full variable set of f (they simply
     do not involve the pivot), which keeps downstream bookkeeping simple.
+    The cost follows the number of terms of f, not deg_v(f).
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no coefficient map")
     if f.vars.k < 2:
         raise ValueError("coefficient map requires at least 2 ambient variables")
     i = f.vars.index(v)
-    d = f.degree_in(v)
-    if d is NEG_INF:
-        raise AssertionError("unreachable: nonzero polynomial")
-    buckets: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(int(d) + 1)]
+    # Distinct terms of f with the same pivot exponent have distinct
+    # stripped monomials, so every group is already a canonical term map.
+    groups: dict[int, dict[tuple[int, ...], Scalar]] = {}
     for m, c in f.terms.items():
-        e = m[i]
-        stripped = m[:i] + (0,) + m[i + 1:]
-        buckets[e][stripped] = buckets[e].get(stripped, Fraction(0)) + c
-    alphas = tuple(Polynomial(f.vars, b) for b in buckets)
-    return CoefficientMap(pivot_var=v, alphas=alphas)
+        groups.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+    exponents = tuple(sorted(groups))
+    alphas = tuple(Polynomial._raw(f.vars, groups[e]) for e in exponents)
+    return CoefficientMap(pivot_var=v, exponents=exponents, alphas=alphas)
 
 
 class PolyMatrix:
@@ -194,8 +202,10 @@ class PolyMatrix:
 
 
 def jacobian(cm: CoefficientMap) -> PolyMatrix:
-    """Jacobian of the coefficient map: rows are alphas, columns the
-    non-pivot variables in variable-set order."""
+    """Jacobian of the coefficient map: one row per nonzero alpha, in
+    exponent order (row j belongs to ``cm.exponents[j]``; a constant alpha
+    gives a zero row), columns the non-pivot variables in variable-set
+    order."""
     vars = cm.vars
     non_pivot = [name for name in vars.names if name != cm.pivot_var]
     rows = [[alpha.partial(name) for name in non_pivot] for alpha in cm.alphas]
@@ -286,21 +296,25 @@ def _rational_rank(rows: list[list[Fraction]]) -> tuple[int, Witness]:
     return r, Witness(rows=tuple(sorted(row_ids[:r])), cols=tuple(sorted(col_ids[:r])))
 
 
-def _sample_bound(m: PolyMatrix) -> int:
-    return SAMPLE_SCALE * (m.total_degree() + 1)
+def sample_point(seed: int, trial: int, count: int, degree: int) -> list[int]:
+    """``count`` integers from [-B, B], B = SAMPLE_SCALE * (degree + 1).
+
+    Each trial gets its own generator, seeded from (seed, trial) alone, so
+    a trial's draw does not depend on how many trials ran before it.
+    """
+    bound = SAMPLE_SCALE * (degree + 1)
+    rng = random.Random(seed * 1_000_003 + trial)
+    return [rng.randint(-bound, bound) for _ in range(count)]
 
 
 def _randomized_rank(m: PolyMatrix, trials: int, seed: int) -> tuple[int, Witness]:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    bound = _sample_bound(m)
-    k = m.vars.k
+    degree = m.total_degree()
     best = 0
     best_witness = Witness((), ())
     for t in range(trials):
-        rng = random.Random(seed * 1_000_003 + t)  # per-trial seed: schedule independent
-        point = [rng.randint(-bound, bound) for _ in range(k)]
-        r, witness = _rational_rank(m.evaluate(point))
+        r, witness = _rational_rank(m.evaluate(sample_point(seed, t, m.vars.k, degree)))
         if r > best:
             best, best_witness = r, witness
             if best == min(m.rows, m.cols):
@@ -339,8 +353,9 @@ def rank_in(f: Polynomial, v: str, method: str = "randomized", trials: int = 5, 
 def _rank_in_with_witness(
     f: Polynomial, v: str, method: str, trials: int, seed: int
 ) -> tuple[int, Witness]:
-    jac = jacobian(coefficient_map(f, v))
-    return _rank_with_witness(jac, method, trials, seed)
+    cm = coefficient_map(f, v)
+    r, witness = _rank_with_witness(jacobian(cm), method, trials, seed)
+    return r, witness._replace(rows=tuple(cm.exponents[i] for i in witness.rows))
 
 
 @dataclass(frozen=True)
@@ -379,7 +394,8 @@ def rank(f: Polynomial, method: str = "randomized", trials: int = 5, seed: int =
     """rank(f) = max over pivot variables of rank_in(f, v).
 
     The witness records a full-rank minor of the Jacobian for the first
-    pivot variable attaining the overall rank.
+    pivot variable attaining the overall rank; its rows are labelled by
+    the pivot exponents of their alphas.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no rank")

@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Mapping, Sequence
 
-from .poly import NEG_INF, Polynomial, Scalar, VarSet, _as_scalar, project
-from .rank import PolyMatrix, SAMPLE_SCALE, _bareiss_rank, coefficient_map, jacobian, rank_in
+from .poly import Polynomial, Scalar, _as_scalar, project
+from .rank import PolyMatrix, _bareiss_rank, coefficient_map, jacobian, rank_in, sample_point
 
 DEFAULT_MAX_ATTEMPTS = 64
 
@@ -106,11 +106,9 @@ def reduce(
     (by an exact rank computation) is returned.
     """
     r, kept, fixed = _prepare(f, v)
-    degree = f.total_degree()
-    bound = SAMPLE_SCALE * ((0 if degree is NEG_INF else int(degree)) + 1)
+    degree = 0 if f.is_zero else int(f.total_degree())
     for attempt in range(1, max_attempts + 1):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        assignment = {name: rng.randint(-bound, bound) for name in fixed}
+        assignment = dict(zip(fixed, sample_point(seed, attempt, len(fixed), degree)))
         restricted = _certify(f, v, kept, assignment, r)
         if restricted is not None:
             return ReductionResult(

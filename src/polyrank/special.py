@@ -30,12 +30,11 @@ reports whether the polynomial is special.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
 from .poly import Polynomial
-from .rank import SAMPLE_SCALE, rank
+from .rank import rank, sample_point
 
 #: Trials used by the randomized identity mode.
 RANDOMIZED_IDENTITY_TRIALS = 20
@@ -104,11 +103,9 @@ def _product_identity_holds(
         if isinstance(d, int):
             degree = max(degree, d)
     total = degree * max(len(left), len(right))
-    bound = SAMPLE_SCALE * (total + 1)
     k = left[0].vars.k
     for t in range(RANDOMIZED_IDENTITY_TRIALS):
-        rng = random.Random(seed * 1_000_003 + t)
-        point = [rng.randint(-bound, bound) for _ in range(k)]
+        point = sample_point(seed, t, k, total)
         lval = 1
         for p in left:
             lval *= p.eval(point)
@@ -164,11 +161,9 @@ def ratio_separated(f: Polynomial, i: str, j: str, method: str = "exact", seed: 
     # evaluate every factor and combine numerically; nothing is expanded
     dg, dh = _degree_or_zero(g), _degree_or_zero(h)
     total = 2 * (dg + dh)
-    bound = SAMPLE_SCALE * (total + 1)
     k = f.vars.k
     for t in range(RANDOMIZED_IDENTITY_TRIALS):
-        rng = random.Random(seed * 1_000_003 + t)
-        point = [rng.randint(-bound, bound) for _ in range(k)]
+        point = sample_point(seed, t, k, total)
         gv, hv = g.eval(point), h.eval(point)
         left = (gv * g_ij.eval(point) - g_i.eval(point) * g_j.eval(point)) * hv * hv
         right = (hv * h_ij.eval(point) - h_i.eval(point) * h_j.eval(point)) * gv * gv

@@ -38,6 +38,23 @@ def sparse_random_polynomial(rng: random.Random, vars: VarSet, max_deg: int = 3,
     return Polynomial(vars, terms)
 
 
+def gapped_random_polynomial(rng: random.Random, vars: VarSet, max_deg: int = 60,
+                             max_terms: int = 6) -> Polynomial:
+    """A few terms whose exponents come from a small per-variable pool of
+    {0, 1} and two draws up to ``max_deg``, so coefficient maps have wide
+    gaps between nonzero powers and terms often share a power.  Nonzero."""
+    pools = [(0, 1, rng.randint(2, max_deg), rng.randint(2, max_deg)) for _ in vars.names]
+    while True:
+        terms: dict = {}
+        for _ in range(rng.randint(2, max_terms)):
+            m = tuple(rng.choice(pool) for pool in pools)
+            c = rng.choice([-9, -5, -2, -1, 1, 3, 7, Fraction(1, 2), Fraction(-4, 3)])
+            terms[m] = terms.get(m, 0) + c
+        p = Polynomial(vars, terms)
+        if not p.is_zero:
+            return p
+
+
 def random_point(rng: random.Random, k: int, lo: int = -50, hi: int = 50) -> list[int]:
     return [rng.randint(lo, hi) for _ in range(k)]
 

@@ -6,6 +6,8 @@ from itertools import product as iter_product
 import pytest
 
 from polyrank import (
+    Polynomial,
+    PolyMatrix,
     bound_ratios,
     build_instance,
     coefficient_map,
@@ -25,11 +27,16 @@ def P(text, vars=V3):
 
 def brute_instance(f, sets, minor_rows):
     """Independent oracle: direct enumeration of suffixes, curves, and the
-    pairwise point-on-curve test over all of P x C."""
+    pairwise point-on-curve test over all of P x C.  The coefficient map is
+    built densely here, alpha_0..alpha_d, so ``minor_rows`` (pivot
+    exponents) index its Jacobian directly."""
     vars = f.vars
-    pivot = vars.names[0]
-    cm = coefficient_map(f, pivot)
-    det = jacobian(cm).submatrix(minor_rows, range(vars.k - 1)).determinant()
+    alphas = [
+        Polynomial(vars, {(0,) + m[1:]: c for m, c in f.terms.items() if m[0] == i})
+        for i in range(f.degree_in(vars.names[0]) + 1)
+    ]
+    jac = PolyMatrix(vars, [[alpha.partial(name) for name in vars.names[1:]] for alpha in alphas])
+    det = jac.submatrix(minor_rows, range(vars.k - 1)).determinant()
     image = set()
     for point in iter_product(*sets):
         image.add(f.eval(list(point)))
@@ -42,7 +49,7 @@ def brute_instance(f, sets, minor_rows):
         if restricted.constant_term() == 0:
             degenerate += 1
             continue
-        vector = tuple(alpha.substitute(bindings).constant_term() for alpha in cm.alphas)
+        vector = tuple(alpha.substitute(bindings).constant_term() for alpha in alphas)
         curves[vector] = curves.get(vector, 0) + 1
     incidences = 0
     for vector in curves:
@@ -105,6 +112,21 @@ def test_squared_variable_collapses_curves():
     assert inst.incidence_count == expected["incidences"]
 
 
+def test_gapped_pivot_powers_match_brute_oracle():
+    # alpha_0 = alpha_2 = 0: the curves are x -> x2^2*x^3 + x3*x, stored as
+    # dense coefficient vectors with zeros at the missing powers
+    f = P("x1^3*x2^2 + x1*x3")
+    sets = [[-1, 1, 2], [0, 1, 2], [1, 3]]
+    inst = build_instance(f, sets)
+    assert inst.witness_rows == (1, 3)
+    assert all(len(curve) == 4 and curve[0] == curve[2] == 0 for curve in inst.curves)
+    expected = brute_instance(f, sets, inst.witness_rows)
+    assert inst.s0_size == expected["S0"] == 6  # x2 = 0 kills the minor 2*x2
+    assert inst.sprime_size == expected["Sprime"]
+    assert dict(zip(inst.curves, inst.multiplicities)) == expected["curves"]
+    assert inst.incidence_count == expected["incidences"]
+
+
 def test_all_degenerate_instance_is_empty():
     # with x2 pinned to 0 every suffix kills the minor determinant
     inst = build_instance(P("x1*x2^2 + x3"), [[1, 2], [0], [1, 2]])
@@ -124,11 +146,13 @@ def test_rank_precondition_rejected():
 
 def test_explicit_witness_rows():
     f = P("x1*x2 + x1^2*x3")
-    jac = jacobian(coefficient_map(f, "x1"))
-    r, witness = generic_rank_exact(jac)
+    cm = coefficient_map(f, "x1")
+    r, witness = generic_rank_exact(jacobian(cm))
     assert r == 2
-    inst = build_instance(f, [[1, 2]] * 3, minor_rows=witness.rows)
-    assert inst.witness_rows == witness.rows
+    labels = tuple(cm.exponents[i] for i in witness.rows)
+    assert labels == (1, 2)
+    inst = build_instance(f, [[1, 2]] * 3, minor_rows=labels)
+    assert inst.witness_rows == labels
     with pytest.raises(ValueError, match="singular"):
         build_instance(f, [[1, 2]] * 3, minor_rows=(0, 1))  # alpha_0 = 0 row
 

@@ -1,14 +1,18 @@
 """Coefficient maps, Jacobians, and generic rank (exact and randomized)."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
 from polyrank import (
     Polynomial,
     PolyMatrix,
+    RankReport,
     VarSet,
+    build_instance,
     coefficient_map,
     generic_rank_exact,
     generic_rank_randomized,
@@ -16,9 +20,19 @@ from polyrank import (
     parse,
     rank,
     rank_in,
+    select_independent_columns,
 )
-from gens import dense_random_polynomial, permute_polynomial, sparse_random_polynomial, var_set
+from polyrank.rank import _rank_with_witness, _rational_rank, sample_point
+from gens import (
+    dense_random_polynomial,
+    gapped_random_polynomial,
+    permute_polynomial,
+    random_point,
+    sparse_random_polynomial,
+    var_set,
+)
 
+V2 = var_set(2)
 V3 = var_set(3)
 V4 = var_set(4)
 
@@ -36,7 +50,8 @@ def matrix(rows, vars=V3):
 def test_coefficient_map_canonical_example():
     cm = coefficient_map(P("x1*x3 + x2*x3^2"), "x3")
     assert cm.degree == 2
-    assert cm.alphas == (P("0"), P("x1"), P("x2"))
+    assert cm.exponents == (1, 2)
+    assert cm.alphas == (P("x1"), P("x2"))
 
 
 def test_coefficient_map_linear():
@@ -73,15 +88,140 @@ def test_coefficient_map_reconstruction_random():
         v = rng.choice(V3.names)
         cm = coefficient_map(f, v)
         assert cm.reconstruct() == f
-        assert not cm.alphas[-1].is_zero
+        assert all(a < b for a, b in zip(cm.exponents, cm.exponents[1:]))
+        assert len(cm.exponents) == len(cm.alphas)
+        assert not any(alpha.is_zero for alpha in cm.alphas)
         assert all(not alpha.involves(v) for alpha in cm.alphas)
+
+
+def test_coefficient_map_cost_follows_terms_not_degree():
+    # a dense map would hold 10^8 + 1 coefficients here
+    f = parse("x1^100000000*x2", V2)
+    cm = coefficient_map(f, "x1")
+    assert cm.exponents == (10**8,)
+    assert cm.degree == 10**8
+    assert cm.alphas == (parse("x2", V2),)
+    assert jacobian(cm).entries == ((Polynomial.constant(V2, 1),),)
+    assert cm.reconstruct() == f
+
+
+# ------------------------------------------------------------ sparse map against the dense map
+
+def _dense_coefficient_map(f, v):
+    """The dense map alpha_0..alpha_d, zero alphas included: the reference
+    the sparse map must agree with."""
+    i = f.vars.index(v)
+    buckets = [{} for _ in range(int(f.degree_in(v)) + 1)]
+    for m, c in f.terms.items():
+        e = m[i]
+        stripped = m[:i] + (0,) + m[i + 1:]
+        buckets[e][stripped] = buckets[e].get(stripped, Fraction(0)) + c
+    return tuple(Polynomial(f.vars, b) for b in buckets)
+
+
+def _dense_jacobian(f, v):
+    """One row per alpha_0..alpha_d, so row i belongs to the pivot power i."""
+    non_pivot = [name for name in f.vars.names if name != v]
+    return PolyMatrix(f.vars, [[alpha.partial(name) for name in non_pivot] for alpha in _dense_coefficient_map(f, v)])
+
+
+def _dense_rank_json(f, method, trials, seed):
+    """rank(f, ...).to_json_dict() computed on dense Jacobians."""
+    per, overall, witness_var, witness = {}, -1, None, None
+    for offset, v in enumerate(f.vars.names):
+        r, w = _rank_with_witness(_dense_jacobian(f, v), method, trials, seed + offset)
+        per[v] = r
+        if r > overall:
+            overall, witness_var, witness = r, v, w
+    return RankReport(
+        vars=f.vars.names, per_variable=per, overall=overall, method=method,
+        trials=trials if method == "randomized" else 0, seed=seed,
+        witness_var=witness_var, witness=witness,
+    ).to_json_dict()
+
+
+def _dense_instance(f, sets):
+    """build_instance on the dense map: (to_json_dict, witness rows, curves),
+    or None when the rank in the first variable is not full."""
+    vars = f.vars
+    pivot = vars.names[0]
+    jac = _dense_jacobian(f, pivot)
+    r, witness = generic_rank_exact(jac)
+    if r != vars.k - 1:
+        return None
+    det = jac.submatrix(witness.rows, range(vars.k - 1)).determinant()
+    alphas = _dense_coefficient_map(f, pivot)
+    image = {f.eval(list(t)) for t in iter_product(*sets)}
+    curves, degenerate = {}, 0
+    for suffix in iter_product(*sets[1:]):
+        point = [0, *suffix]
+        if det.eval(point) == 0:
+            degenerate += 1
+            continue
+        vector = tuple(alpha.eval(point) for alpha in alphas)
+        curves[vector] = curves.get(vector, 0) + 1
+    incidences = sum(
+        sum(c * Fraction(x) ** i for i, c in enumerate(vector)) in image
+        for vector in curves for x in sets[0]
+    )
+    a1, suffixes = len(sets[0]), math.prod(len(s) for s in sets[1:])
+    doc = {
+        "S": a1 * suffixes,
+        "S0": a1 * degenerate,
+        "Sprime": a1 * (suffixes - degenerate),
+        "points": a1 * len(image),
+        "curves": len(curves),
+        "incidences": incidences,
+        "max_multiplicity": max(curves.values(), default=0),
+    }
+    return doc, witness.rows, tuple(sorted(curves))
+
+
+@pytest.mark.parametrize("method", ["exact", "randomized"])
+def test_rank_reports_match_dense_reference(method):
+    rng = random.Random(2600)
+    gapped = 0
+    for case in range(24):
+        vars = var_set(3 + case % 2)
+        f = gapped_random_polynomial(rng, vars)
+        gapped += any(len(coefficient_map(f, v).exponents) <= f.degree_in(v) for v in vars.names)
+        assert rank(f, method=method, seed=case).to_json_dict() == _dense_rank_json(f, method, 5, case)
+    assert gapped == 24
+
+
+def test_select_columns_match_dense_reference():
+    rng = random.Random(2601)
+    for case in range(24):
+        vars = var_set(3 + case % 2)
+        f = gapped_random_polynomial(rng, vars)
+        v = vars.names[case % vars.k]
+        dense = _dense_jacobian(f, v)
+        r, _ = generic_rank_exact(dense)
+        assert select_independent_columns(jacobian(coefficient_map(f, v)), r) == select_independent_columns(dense, r)
+
+
+def test_incidence_instances_match_dense_reference():
+    rng = random.Random(2602)
+    full_rank = 0
+    for _ in range(30):
+        f = gapped_random_polynomial(rng, V3)
+        sets = [sorted(rng.sample(range(-2, 4), rng.randint(2, 3))) for _ in range(3)]
+        expected = _dense_instance(f, sets)
+        if expected is None:
+            with pytest.raises(ValueError, match="full rank"):
+                build_instance(f, sets)
+            continue
+        full_rank += 1
+        inst = build_instance(f, sets)
+        assert (inst.to_json_dict(), inst.witness_rows, inst.curves) == expected
+    assert full_rank >= 15
 
 
 # ------------------------------------------------------------ jacobians
 
 def test_jacobian_of_canonical_example():
     jac = jacobian(coefficient_map(P("x1*x3 + x2*x3^2"), "x3"))
-    assert jac.entries == matrix([["0", "0"], ["1", "0"], ["0", "1"]]).entries
+    assert jac.entries == matrix([["1", "0"], ["0", "1"]]).entries
 
 
 def test_jacobian_of_linear():
@@ -91,7 +231,7 @@ def test_jacobian_of_linear():
 
 def test_jacobian_of_product():
     jac = jacobian(coefficient_map(P("x1*x2*x3"), "x1"))
-    assert jac.entries == matrix([["0", "0"], ["x3", "x2"]]).entries
+    assert jac.entries == matrix([["x3", "x2"]]).entries
 
 
 # ------------------------------------------------------------ exact rank
@@ -188,6 +328,43 @@ def test_randomized_never_exceeds_exact_and_agrees():
 def test_randomized_is_deterministic_given_seed():
     m = matrix([["x1", "x2"], ["x3", "1"]])
     assert generic_rank_randomized(m, trials=5, seed=7) == generic_rank_randomized(m, trials=5, seed=7)
+
+
+def test_sample_point_draws_are_pinned():
+    # every randomized report depends on these draws
+    assert sample_point(0, 0, 3, 2) == [5371, 23892, -175383]
+    assert sample_point(5, 3, 2, 0) == [-40162, -55589]
+
+
+def _sympy_rank(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).rank()
+
+
+def test_rational_rank_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2603)
+    deficient = 0
+    for case in range(40):
+        vars = var_set(3 + case % 2)
+        if case % 2:
+            f = dense_random_polynomial(rng, vars, max_deg=2)
+        else:
+            f = gapped_random_polynomial(rng, vars)
+        v = rng.choice(vars.names)
+        # small coordinates, so evaluations drop rank now and then
+        point = random_point(rng, vars.k, -3, 3)
+        for jac in (jacobian(coefficient_map(f, v)), _dense_jacobian(f, v)):
+            rows = jac.evaluate(point)
+            if case % 4 == 3:  # a rational combination of two rows
+                a, b = Fraction(rng.randint(-5, 5), 3), rng.randint(-5, 5)
+                rows = rows + [[a * x + b * y for x, y in zip(rows[0], rows[-1])]]
+            r, witness = _rational_rank(rows)
+            assert r == _sympy_rank(sympy, rows)
+            deficient += r < min(len(rows), len(rows[0]))
+            assert len(witness.rows) == len(witness.cols) == r
+            minor = [[rows[i][j] for j in witness.cols] for i in witness.rows]
+            assert _sympy_rank(sympy, minor) == r
+    assert deficient >= 10
 
 
 # ------------------------------------------------------------ rank_in / rank

@@ -44,14 +44,15 @@ def test_select_columns_first_pivot():
 
 def test_select_columns_skips_dependent():
     # f = x1*(x2+x3) + x1^2*x4 over (x1..x4), pivot x1:
-    # alphas (0, x2+x3, x4); Jacobian rows [0,0,0], [1,1,0], [0,0,1]
+    # nonzero alphas (x2+x3, x4) at exponents (1, 2); Jacobian rows
+    # [1,1,0], [0,0,1]
     from polyrank import coefficient_map, jacobian
 
     jac = jacobian(coefficient_map(P("x1*(x2+x3) + x1^2*x4"), "x1"))
     cols = select_independent_columns(jac, 2)
     assert cols in ((0, 2), (1, 2))
     # the 2x2 minor on the rows of the two nonzero alphas certifies the choice
-    assert not jac.submatrix((1, 2), cols).determinant().is_zero
+    assert not jac.submatrix((0, 1), cols).determinant().is_zero
 
 
 def test_select_columns_rank_deficiency():
