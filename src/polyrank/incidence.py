@@ -118,7 +118,7 @@ def build_instance(
         if minor_det.eval(point) == 0:
             degenerate_suffixes += 1
             continue
-        # Scatter into the dense coefficient vector the Horner loop reads.
+        # Scatter into the dense coefficient vector that identifies the curve.
         dense = dense_zero[:]
         for e, alpha in zip(cm.exponents, cm.alphas):
             dense[e] = alpha.eval(point)
@@ -133,13 +133,15 @@ def build_instance(
     # Exhaustive incidence count between P = A_1 x B and the curves.  Points
     # sharing an x coordinate are tested together: the curve value at x is
     # computed once and membership in {y : (x, y) in P} = B is a hash lookup,
-    # which is exactly the |P| * |C| pairwise test, grouped.
+    # which is exactly the |P| * |C| pairwise test, grouped.  A curve is
+    # evaluated on its nonzero coefficients only, all at exponents of the map.
     incidence_count = 0
     for coeffs in curves:
+        nonzero = [(e, coeffs[e]) for e in cm.exponents if coeffs[e]]
         for x in a1:
-            y = Fraction(0)
-            for c in reversed(coeffs):
-                y = y * x + c
+            y = 0
+            for e, c in nonzero:
+                y += c * x**e
             if y in image:
                 incidence_count += 1
 

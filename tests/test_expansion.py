@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polyrank import (
     BudgetExceededError,
+    Polynomial,
     SetSpec,
     degenerate_demo,
     expansion_report,
@@ -16,6 +19,7 @@ from polyrank import (
     parse,
     theoretical_exponent,
 )
+from polyrank.expansion import PARALLEL_THRESHOLD
 from gens import brute_image, sparse_random_polynomial, var_set
 
 V3 = var_set(3)
@@ -133,6 +137,132 @@ def test_workers_agree_with_sequential():
 
 def test_zero_polynomial_image():
     assert image_values(P("0"), [[1, 2], [3], [4]]) == {0}
+
+
+# ------------------------------------------------------------ sweep against the reference
+
+def _plain(value):
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _reference_sweep(terms, value_lists, pow_tables, depth, out):
+    """The dense Horner sweep image_values used before the grouped integer
+    sweep: outer prefixes substituted into the term map, the last variable
+    swept with one Horner step per tuple, in int or Fraction arithmetic."""
+    if not terms:
+        out.add(0)
+        return
+    if depth == len(value_lists) - 1:
+        dmax = max(e[0] for e in terms)
+        coeffs = [0] * (dmax + 1)
+        for e, c in terms.items():
+            coeffs[e[0]] += c
+        if dmax == 0:
+            out.add(coeffs[0])
+            return
+        for val in value_lists[depth]:
+            acc = coeffs[dmax]
+            for idx in range(dmax - 1, -1, -1):
+                acc = acc * val + coeffs[idx]
+            out.add(acc)
+        return
+    for val in value_lists[depth]:
+        powers = pow_tables[depth][val]
+        sub = {}
+        for e, c in terms.items():
+            cc = c * powers[e[0]] if e[0] else c
+            total = sub.get(e[1:], 0) + cc
+            if total:
+                sub[e[1:]] = total
+            else:
+                sub.pop(e[1:], None)
+        _reference_sweep(sub, value_lists, pow_tables, depth + 1, out)
+
+
+def reference_image(f: Polynomial, sets: Sequence[Sequence]) -> set:
+    if f.is_zero:
+        return {0}
+    value_lists = [[_plain(v) for v in s] for s in sets]
+    terms = {m: _plain(c) for m, c in f.terms.items()}
+    pow_tables = []
+    for i, values in enumerate(value_lists):
+        top = max(m[i] for m in terms)
+        pow_tables.append({v: [v**e for e in range(top + 1)] for v in values})
+    out = set()
+    _reference_sweep(terms, value_lists, pow_tables, 0, out)
+    return out
+
+
+def canonical_types(values) -> bool:
+    """int for every integral value, Fraction for every other one."""
+    return all(type(v) is (int if Fraction(v).denominator == 1 else Fraction) for v in values)
+
+
+scalars = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-10, max_value=10, max_denominator=9),
+)
+coefficients = st.one_of(
+    st.integers(-20, 20).filter(bool),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+)
+#: Longest set per k, so a grid stays a few hundred tuples.
+MAX_SET = {1: 30, 2: 12, 3: 6, 4: 4}
+
+
+@st.composite
+def image_cases(draw):
+    """A polynomial in k = 1..4 variables, some of which it may not contain,
+    with gapped exponents up to 40 and int or Fraction coefficients (the
+    zero and constant polynomials included), and one list per variable of
+    int, Fraction or mixed values, duplicates allowed."""
+    k = draw(st.integers(1, 4))
+    absent = draw(st.sets(st.integers(0, k - 1), max_size=k))
+    exponents = [
+        st.just(0) if i in absent else st.one_of(st.integers(0, 3), st.integers(0, 40))
+        for i in range(k)
+    ]
+    terms = draw(st.dictionaries(st.tuples(*exponents), coefficients, max_size=4))
+    sets = [draw(st.lists(scalars, min_size=1, max_size=MAX_SET[k])) for _ in range(k)]
+    return Polynomial(var_set(k), terms), sets
+
+
+@settings(deadline=None, max_examples=300)
+@given(image_cases())
+@example((Polynomial(var_set(2), {}), [[1, Fraction(1, 2)], [3]]))
+@example((Polynomial(var_set(3), {(0, 0, 0): Fraction(7, 3)}), [[1], [2, 2], [Fraction(1, 5)]]))
+@example((Polynomial(var_set(3), {(0, 0, 0): Fraction(4, 2)}), [[1], [2], [3]]))
+@example((Polynomial(var_set(3), {(1, 0, 2): 1, (0, 1, 0): -1}), [[0, 0, 1], [-2, 5], [Fraction(1, 2), -1]]))
+def test_image_matches_reference_sweep(case):
+    f, sets = case
+    image = image_values(f, sets)
+    assert image == reference_image(f, sets)
+    assert canonical_types(image)
+
+
+def test_rational_grid_value_types():
+    # x1*x2 over {1/2, 2} x {2, 1/3}: 1 and 4 are integral, 1/6 and 2/3 not
+    image = image_values(P("x1*x2", var_set(2)), [[Fraction(1, 2), 2], [2, Fraction(1, 3)]])
+    assert image == {1, 4, Fraction(1, 6), Fraction(2, 3)}
+    assert canonical_types(image)
+    half_x1_plus_x2 = Polynomial(var_set(2), {(1, 0): Fraction(1, 2), (0, 1): 1})
+    assert image_values(half_x1_plus_x2, [[2, 4], [Fraction(1, 2)]]) == {
+        Fraction(3, 2), Fraction(5, 2)}
+
+
+def test_workers_on_rational_grid_above_threshold():
+    f = Polynomial(V3, {(1, 1, 0): 1, (0, 0, 2): Fraction(1, 3)})
+    rng = random.Random(808)
+    a = [Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(60)]
+    b = sorted(rng.sample(range(-500, 500), 60))
+    c = [Fraction(rng.randint(-40, 40), 7) for _ in range(60)]
+    sets = [a, b, c]
+    assert len(a) * len(b) * len(c) >= PARALLEL_THRESHOLD
+    par = image_values(f, sets, workers=2)
+    assert par == image_values(f, sets) == reference_image(f, sets)
+    assert canonical_types(par)
 
 
 # ------------------------------------------------------------ exponents & reports

@@ -127,6 +127,20 @@ def test_gapped_pivot_powers_match_brute_oracle():
     assert inst.incidence_count == expected["incidences"]
 
 
+def test_high_degree_rational_instance_matches_brute_oracle():
+    # alpha_1 = x3 and alpha_60 = x2^2, the rest zero; rational x values
+    # make the curve values Fractions, and x2 = 0 kills the minor -2*x2
+    f = P("x1^60*x2^2 + x1*x3")
+    sets = [[Fraction(-1, 2), Fraction(2, 3), 1], [0, Fraction(1, 3), 2], [Fraction(-5, 4), 3]]
+    inst = build_instance(f, sets)
+    assert inst.witness_rows == (1, 60)
+    expected = brute_instance(f, sets, inst.witness_rows)
+    assert inst.s0_size == expected["S0"] == 6
+    assert inst.sprime_size == expected["Sprime"]
+    assert dict(zip(inst.curves, inst.multiplicities)) == expected["curves"]
+    assert inst.incidence_count == expected["incidences"] == inst.sprime_size
+
+
 def test_all_degenerate_instance_is_empty():
     # with x2 pinned to 0 every suffix kills the minor determinant
     inst = build_instance(P("x1*x2^2 + x3"), [[1, 2], [0], [1, 2]])
