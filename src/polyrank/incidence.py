@@ -22,14 +22,13 @@ constants are not specified, so no pass/fail is attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .expansion import DEFAULT_BUDGET, BudgetExceededError, image_values
 from .poly import Polynomial, Scalar
 from .rank import coefficient_map, generic_rank_exact, jacobian
 
-CoeffVector = tuple[Fraction, ...]
+CoeffVector = tuple[Scalar, ...]
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def build_instance(
     non_pivot = [name for name in vars.names if name != pivot]
     degenerate_suffixes = 0
     curve_mult: dict[CoeffVector, int] = {}
-    dense_zero = [Fraction(0)] * (cm.degree + 1)
+    dense_zero = [0] * (cm.degree + 1)
     for suffix in iter_product(*suffix_sets):
         bindings = dict(zip(non_pivot, suffix))
         point = [bindings.get(name, 0) for name in vars.names]

@@ -144,9 +144,11 @@ def verify_rank(d: int, method: str = "randomized", trials: int = 5, seed: int =
     d columns, so a certified rank-d witness pins the generic rank exactly.
     (The exact method agrees but expands enormous minors for d >= 4.)
     """
-    f = volume_poly(d)
-    pivot = volume_vars(d).names[-1]
-    return rank_in(f, pivot, method=method, trials=trials, seed=seed) == d
+    return _has_rank_d(volume_poly(d), d, method, trials, seed)
+
+
+def _has_rank_d(f: Polynomial, d: int, method: str = "randomized", trials: int = 5, seed: int = 0) -> bool:
+    return rank_in(f, f.vars.names[-1], method=method, trials=trials, seed=seed) == d
 
 
 def moment_summary(d: int) -> dict:
@@ -163,7 +165,7 @@ def moment_summary(d: int) -> dict:
         "volume_poly": str(inst.f),
         "factorization_ok": inst.g * reconstruction == inst.f,
         "det_m_sign": det_m_sign(d),
-        "rank_ok": verify_rank(d),
+        "rank_ok": _has_rank_d(inst.f, d),
     }
 
 

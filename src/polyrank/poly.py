@@ -46,6 +46,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product as _cartesian
 from math import lcm
@@ -127,6 +128,21 @@ def _as_scalar(value: Scalar) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+@lru_cache(maxsize=1024)
+def _inverse(denominator: int, modulus: int) -> int:
+    """denominator^-1 mod a prime ``modulus`` (cached: the denominators of
+    one polynomial repeat across its terms and across evaluations)."""
+    if denominator % modulus == 0:
+        raise ZeroDivisionError(f"denominator {denominator} has no inverse modulo {modulus}")
+    return pow(denominator, -1, modulus)
+
+
+def _residue(value: Scalar, modulus: int) -> int:
+    """``value`` mod a prime ``modulus``: a/b maps to a * b^-1."""
+    value = _as_scalar(value)
+    return value.numerator * _inverse(value.denominator, modulus) % modulus
 
 
 def _ratio(numerator: Scalar, denominator: Scalar) -> Scalar:
@@ -464,25 +480,35 @@ class Polynomial:
                     del out[key]
         return Polynomial._raw(self.vars, out)
 
-    def eval(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at ``point`` (one value per variable, in order)."""
+    def eval(self, point: Sequence[Scalar], modulus: int | None = None) -> Scalar:
+        """Value at ``point`` (one value per variable, in order): the exact
+        rational as a Fraction or, given a prime ``modulus`` p, its residue
+        in [0, p).  Mod p every coefficient and coordinate a/b maps to
+        a * b^-1 and powers use three-argument ``pow``, so no value grows
+        with the degree; a denominator divisible by p raises
+        ZeroDivisionError.
+        """
         if len(point) != self.vars.k:
             raise ValueError(f"point has length {len(point)}, expected {self.vars.k}")
-        vals = [_as_scalar(v) for v in point]
+        vals = [_as_scalar(v) if modulus is None else _residue(v, modulus) for v in point]
         powers: list[dict[int, Scalar]] = [{} for _ in vals]
         total = 0
         for m, c in self._terms.items():
-            term = c
+            if modulus is None or c.__class__ is int:
+                term = c
+            else:
+                term = c.numerator * _inverse(c.denominator, modulus)
             for i, e in enumerate(m):
                 if e:
                     cache = powers[i]
                     p = cache.get(e)
                     if p is None:
-                        p = vals[i] ** e
+                        p = vals[i] ** e if modulus is None else pow(vals[i], e, modulus)
                         cache[e] = p
                     term *= p
             total += term
-        return Fraction(total)
+        # Terms are products of k residues: reducing the sum once is cheaper.
+        return Fraction(total) if modulus is None else total % modulus
 
     __call__ = eval
 

@@ -13,20 +13,22 @@ than one per power of v up to deg_v(f).  A zero alpha_i only adds a zero
 row, which changes no rank; witness rows are reported as exponent labels,
 which are the row indices of the dense Jacobian over alpha_0..alpha_d.
 
-Two rank methods are provided:
+Ranks and determinants come from one fraction-free Bareiss routine
+(Bareiss 1968) that takes its ring as four operations: multiply,
+subtract, exact divide and is-zero.  Two rank methods are provided:
 
-* ``exact``: fraction-free Bareiss elimination over the polynomial ring.
-  Pivots are chosen as the first nonzero entry in row-major order; the
-  intermediate entries are minors of the original matrix, so dividing by
-  the previous pivot is always exact.
-* ``randomized``: evaluate the matrix at random integer points and take
-  the maximum rank over trials (exact rational Gaussian elimination per
-  point).  This never exceeds the generic rank and equals it with high
-  probability by the Schwartz-Zippel bound.  The pivot minor of the best
-  trial doubles as an exact certificate: its determinant evaluated at the
-  trial point is a nonzero rational, which proves the determinant is not
-  the zero polynomial, so the reported rank is always a proved lower
-  bound (and exactly the generic rank whenever it hits min(rows, cols)).
+* ``exact``: eliminate over the polynomial ring.
+* ``randomized``: evaluate the matrix at seeded random integer points
+  modulo the prime p = 2^61 - 1, eliminate over Z/p, and take the maximum
+  rank over trials; values stay below p whatever the degree.  The pivot
+  minor of the best trial is an exact certificate: its determinant at the
+  trial point is nonzero mod p, hence a nonzero rational, so the symbolic
+  determinant is nonzero and the reported rank is a proved lower bound
+  (the generic rank whenever it hits min(rows, cols)).  Reduction mod p
+  can only lower the rank at a point, so a trial misses the generic rank
+  with probability at most deg / (2B + 1) (Schwartz-Zippel) plus about
+  (number of pivots) / p.  A trial whose point has no residue (p divides
+  a coefficient's denominator) is eliminated over Q instead.
 
 The degree of the polynomial entries never changes the contracts, only
 the running time.
@@ -34,10 +36,10 @@ the running time.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .poly import NEG_INF, Polynomial, Scalar, VarSet, exact_div
 
@@ -45,6 +47,9 @@ from .poly import NEG_INF, Polynomial, Scalar, VarSet, exact_div
 #: drawn from [-B, B] with B = 2^16 * (total degree + 1), keeping the
 #: per-trial failure probability below deg / (2B + 1) (see ``sample_point``).
 SAMPLE_SCALE = 1 << 16
+
+#: The prime modulus of randomized trials, 2^61 - 1.
+PRIME = (1 << 61) - 1
 
 
 class Witness(NamedTuple):
@@ -152,48 +157,19 @@ class PolyMatrix:
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix(self.vars, [[self.entries[i][j] for j in cols] for i in rows])
 
-    def evaluate(self, point: Sequence[Scalar]) -> list[list[Fraction]]:
-        return [[p.eval(point) for p in row] for row in self.entries]
-
     def determinant(self) -> Polynomial:
-        """Fraction-free Bareiss determinant (square matrices only)."""
+        """Fraction-free Bareiss determinant (square matrices only): the
+        last pivot, signed by the row and column swaps."""
         n = self.rows
         if n != self.cols:
             raise ValueError(f"determinant of a non-square {self.rows}x{self.cols} matrix")
         if n == 0:
             return Polynomial.constant(self.vars, 1)
         a = [list(row) for row in self.entries]
-        sign = 1
-        prev: Polynomial | None = None
-        for step in range(n - 1):
-            # full pivoting inside the trailing submatrix
-            pivot = None
-            for i in range(step, n):
-                for j in range(step, n):
-                    if not a[i][j].is_zero:
-                        pivot = (i, j)
-                        break
-                if pivot:
-                    break
-            if pivot is None:
-                return Polynomial.zero(self.vars)
-            pi, pj = pivot
-            if pi != step:
-                a[step], a[pi] = a[pi], a[step]
-                sign = -sign
-            if pj != step:
-                for row in a:
-                    row[step], row[pj] = row[pj], row[step]
-                sign = -sign
-            piv = a[step][step]
-            for i in range(step + 1, n):
-                for j in range(step + 1, n):
-                    num = piv * a[i][j] - a[i][step] * a[step][j]
-                    a[i][j] = exact_div(num, prev) if prev is not None else num
-                a[i][step] = Polynomial.zero(self.vars)
-            prev = piv
-        det = a[n - 1][n - 1]
-        return det if sign > 0 else -det
+        r, _, _, sign = bareiss(a, POLYNOMIALS)
+        if r < n:
+            return Polynomial.zero(self.vars)
+        return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.entries) + "]"
@@ -212,88 +188,79 @@ def jacobian(cm: CoefficientMap) -> PolyMatrix:
     return PolyMatrix(vars, rows)
 
 
-def _bareiss_rank(m: PolyMatrix) -> tuple[int, Witness, tuple[int, ...]]:
-    """Fraction-free elimination; returns (rank, witness, pivot cols in
-    the order they were chosen)."""
-    n_rows, n_cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
+class Ring(NamedTuple):
+    """The four operations fraction-free elimination needs; ``div`` is
+    exact division."""
+
+    mul: Callable[[Any, Any], Any]
+    sub: Callable[[Any, Any], Any]
+    div: Callable[[Any, Any], Any]
+    is_zero: Callable[[Any], bool]
+
+
+#: The polynomials over Q, for exact rank and determinants.  ``exact_div``
+#: is looked up at each call, so a wrapper bound to the module name (as the
+#: perfbench tracer installs) sees every division.
+POLYNOMIALS = Ring(operator.mul, operator.sub, lambda a, b: exact_div(a, b), operator.attrgetter("is_zero"))
+#: The field Q, for a trial whose point has no residue mod PRIME.
+RATIONALS = Ring(operator.mul, operator.sub, operator.truediv, operator.not_)
+#: The field Z/PRIME, for randomized trials; ``is_zero`` accepts any int.
+MOD_PRIME = Ring(lambda a, b: a * b % PRIME, lambda a, b: (a - b) % PRIME,
+                 lambda a, b: a * pow(b, -1, PRIME) % PRIME, lambda a: not a % PRIME)
+
+
+def bareiss(a: list[list[Any]], ring: Ring) -> tuple[int, Witness, tuple[int, ...], int]:
+    """Fraction-free Bareiss elimination of ``a``, in place, over ``ring``.
+
+    Pivots are the first nonzero entry of the trailing submatrix in
+    row-major order, swapped into place.  After step r every trailing entry
+    is an (r+1)-minor of the input, so dividing by the previous pivot is
+    exact, and the pivots are leading minors of the permuted input: the
+    last one of a square matrix of full rank is its determinant up to sign.
+    Returns the rank, the pivot minor as a witness, the pivot columns in
+    the order they were chosen, and the sign of the row and column swaps.
+    """
+    mul, sub, div, is_zero = ring
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
     row_ids = list(range(n_rows))
     col_ids = list(range(n_cols))
-    prev: Polynomial | None = None
+    sign = 1
+    prev = None
     r = 0
     while r < n_rows and r < n_cols:
-        pivot = None
-        for i in range(r, n_rows):
-            for j in range(r, n_cols):
-                if not a[i][j].is_zero:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        pivot = next(((i, j) for i in range(r, n_rows) for j in range(r, n_cols)
+                      if not is_zero(a[i][j])), None)
         if pivot is None:
             break
         pi, pj = pivot
         if pi != r:
             a[r], a[pi] = a[pi], a[r]
             row_ids[r], row_ids[pi] = row_ids[pi], row_ids[r]
+            sign = -sign
         if pj != r:
             for row in a:
                 row[r], row[pj] = row[pj], row[r]
             col_ids[r], col_ids[pj] = col_ids[pj], col_ids[r]
-        piv = a[r][r]
-        for i in range(r + 1, n_rows):
+            sign = -sign
+        top = a[r]
+        piv = top[r]
+        for row in a[r + 1:]:
+            lead = row[r]
             for j in range(r + 1, n_cols):
-                num = piv * a[i][j] - a[i][r] * a[r][j]
-                a[i][j] = exact_div(num, prev) if prev is not None else num
-            a[i][r] = Polynomial.zero(m.vars)
+                num = sub(mul(piv, row[j]), mul(lead, top[j]))
+                row[j] = num if prev is None else div(num, prev)
         prev = piv
         r += 1
     witness = Witness(rows=tuple(sorted(row_ids[:r])), cols=tuple(sorted(col_ids[:r])))
-    return r, witness, tuple(col_ids[:r])
+    return r, witness, tuple(col_ids[:r]), sign
 
 
 def generic_rank_exact(m: PolyMatrix) -> tuple[int, Witness]:
     """Rank of ``m`` over the rational-function field, with a certifying
     minor (the pivot rows/columns of the elimination)."""
-    r, witness, _ = _bareiss_rank(m)
+    r, witness, _, _ = bareiss([list(row) for row in m.entries], POLYNOMIALS)
     return r, witness
-
-
-def _rational_rank(rows: list[list[Fraction]]) -> tuple[int, Witness]:
-    """Exact Gaussian elimination over Q, tracking original pivot indices."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    a = [row[:] for row in rows]
-    row_ids = list(range(n_rows))
-    col_ids = list(range(n_cols))
-    r = 0
-    while r < n_rows and r < n_cols:
-        pivot = None
-        for i in range(r, n_rows):
-            for j in range(r, n_cols):
-                if a[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != r:
-            a[r], a[pi] = a[pi], a[r]
-            row_ids[r], row_ids[pi] = row_ids[pi], row_ids[r]
-        if pj != r:
-            for row in a:
-                row[r], row[pj] = row[pj], row[r]
-            col_ids[r], col_ids[pj] = col_ids[pj], col_ids[r]
-        piv = a[r][r]
-        for i in range(r + 1, n_rows):
-            factor = a[i][r] / piv
-            if factor:
-                for j in range(r, n_cols):
-                    a[i][j] -= factor * a[r][j]
-        r += 1
-    return r, Witness(rows=tuple(sorted(row_ids[:r])), cols=tuple(sorted(col_ids[:r])))
 
 
 def sample_point(seed: int, trial: int, count: int, degree: int) -> list[int]:
@@ -307,14 +274,38 @@ def sample_point(seed: int, trial: int, count: int, degree: int) -> list[int]:
     return [rng.randint(-bound, bound) for _ in range(count)]
 
 
+def trial_values(polys: Sequence[Polynomial], point: Sequence[int]) -> tuple[list[Scalar], Ring]:
+    """The values of ``polys`` at ``point`` and the ring they live in.
+
+    The values are residues mod PRIME, unless PRIME divides the
+    denominator of some coefficient: then they are exact rationals.
+    """
+    try:
+        return [p.eval(point, PRIME) for p in polys], MOD_PRIME
+    except ZeroDivisionError:
+        return [p.eval(point) for p in polys], RATIONALS
+
+
 def _randomized_rank(m: PolyMatrix, trials: int, seed: int) -> tuple[int, Witness]:
+    """Max rank over trials of ``m`` at seeded points, each eliminated mod
+    PRIME (or over Q, see :func:`trial_values`); stops at full rank.
+
+    A trial's pivot minor is nonzero mod PRIME, so it is nonzero over Q:
+    the witness proves rank >= r.  Reduction mod PRIME can only lower the
+    rank at a point, so the result never exceeds the generic rank.  Each
+    trial misses with probability at most deg / (2B + 1) for the draw
+    plus about (number of pivots) / PRIME for the reduction.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     degree = m.total_degree()
+    entries = [p for row in m.entries for p in row]
     best = 0
     best_witness = Witness((), ())
     for t in range(trials):
-        r, witness = _rational_rank(m.evaluate(sample_point(seed, t, m.vars.k, degree)))
+        values, ring = trial_values(entries, sample_point(seed, t, m.vars.k, degree))
+        rows = [values[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+        r, witness, _, _ = bareiss(rows, ring)
         if r > best:
             best, best_witness = r, witness
             if best == min(m.rows, m.cols):
@@ -323,10 +314,11 @@ def _randomized_rank(m: PolyMatrix, trials: int, seed: int) -> tuple[int, Witnes
 
 
 def generic_rank_randomized(m: PolyMatrix, trials: int = 5, seed: int = 0) -> int:
-    """Max rank of ``m`` over random integer evaluations.
+    """Max rank of ``m`` over random integer evaluations, eliminated
+    modulo PRIME = 2^61 - 1.
 
     Never exceeds the generic rank; equals it with probability at least
-    1 - (deg / (2B + 1))^trials.
+    1 - (deg / (2B + 1) + pivots / PRIME)^trials.
     """
     r, _ = _randomized_rank(m, trials, seed)
     return r
@@ -338,8 +330,8 @@ def _rank_with_witness(m: PolyMatrix, method: str, trials: int, seed: int) -> tu
     if method != "randomized":
         raise ValueError(f"unknown rank method {method!r} (expected 'exact' or 'randomized')")
     # The returned witness is self-certifying: full pivoting only ever
-    # selects a minor whose determinant is nonzero at the sample point,
-    # which proves the symbolic determinant is nonzero.
+    # selects a minor whose determinant is nonzero mod PRIME at the sample
+    # point, which proves the symbolic determinant is nonzero.
     return _randomized_rank(m, trials, seed)
 
 

@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .poly import Polynomial, Scalar, _as_scalar, project
-from .rank import PolyMatrix, _bareiss_rank, coefficient_map, jacobian, rank_in, sample_point
+from .rank import POLYNOMIALS, PolyMatrix, bareiss, coefficient_map, jacobian, rank_in, sample_point
 
 DEFAULT_MAX_ATTEMPTS = 64
 
@@ -58,7 +58,7 @@ def _rational_json(value: Scalar) -> int | str:
 def select_independent_columns(j: PolyMatrix, r: int) -> tuple[int, ...]:
     """Indices of r columns of generic rank r: the pivot columns found by
     fraction-free elimination, in ascending order."""
-    rank_found, _, pivot_cols = _bareiss_rank(j)
+    rank_found, _, pivot_cols, _ = bareiss([list(row) for row in j.entries], POLYNOMIALS)
     if rank_found < r:
         raise ValueError(f"matrix has generic rank {rank_found}, below the requested {r}")
     return tuple(sorted(pivot_cols[:r]))
@@ -68,7 +68,7 @@ def _prepare(f: Polynomial, v: str) -> tuple[int, tuple[str, ...], tuple[str, ..
     """Compute r = rank_in(f, v), the kept variables, and the fixed ones."""
     k = f.vars.k
     jac = jacobian(coefficient_map(f, v))
-    r, _, pivot_cols = _bareiss_rank(jac)
+    r, _, pivot_cols, _ = bareiss([list(row) for row in jac.entries], POLYNOMIALS)
     if r > k - 2:
         raise ValueError(f"rank_in(f, {v}) = {r} admits no reduction (need rank <= k-2 = {k - 2})")
     non_pivot = [name for name in f.vars.names if name != v]
@@ -92,6 +92,20 @@ def _certify(f: Polynomial, v: str, kept: tuple[str, ...], assignment: Mapping[s
     return None
 
 
+def _first_certified(
+    f: Polynomial, v: str, kept: tuple[str, ...], fixed: tuple[str, ...], r: int,
+    candidates: Iterable[Sequence[Scalar]], failure: str,
+) -> ReductionResult:
+    """The first candidate values of the fixed variables that certify, or
+    ReductionError with the message ``failure``."""
+    for attempt, values in enumerate(candidates, start=1):
+        assignment = dict(zip(fixed, values))
+        restricted = _certify(f, v, kept, assignment, r)
+        if restricted is not None:
+            return ReductionResult(v, kept, assignment, restricted, r, attempt)
+    raise ReductionError(failure)
+
+
 def reduce(
     f: Polynomial,
     v: str,
@@ -107,22 +121,10 @@ def reduce(
     """
     r, kept, fixed = _prepare(f, v)
     degree = 0 if f.is_zero else int(f.total_degree())
-    for attempt in range(1, max_attempts + 1):
-        assignment = dict(zip(fixed, sample_point(seed, attempt, len(fixed), degree)))
-        restricted = _certify(f, v, kept, assignment, r)
-        if restricted is not None:
-            return ReductionResult(
-                pivot_var=v,
-                kept_vars=kept,
-                fixed_assignment=assignment,
-                restricted=restricted,
-                certified_rank=r,
-                attempts=attempt,
-            )
-    raise ReductionError(
+    candidates = (sample_point(seed, attempt, len(fixed), degree) for attempt in range(1, max_attempts + 1))
+    return _first_certified(f, v, kept, fixed, r, candidates, (
         f"no assignment certified rank {r} within {max_attempts} attempts; "
-        "either exceptional bad luck or a violated precondition"
-    )
+        "either exceptional bad luck or a violated precondition"))
 
 
 def grid_reduce(
@@ -156,18 +158,6 @@ def grid_reduce(
         rng.shuffle(candidates)
     else:
         candidates = [tuple(rng.choice(pool) for pool in fixed_pools) for _ in range(max_attempts)]
-    for attempt, values in enumerate(candidates[:max_attempts], start=1):
-        assignment = {name: _as_scalar(Fraction(value)) for name, value in zip(fixed, values)}
-        restricted = _certify(f, v, kept, assignment, r)
-        if restricted is not None:
-            return ReductionResult(
-                pivot_var=v,
-                kept_vars=kept,
-                fixed_assignment=assignment,
-                restricted=restricted,
-                certified_rank=r,
-                attempts=attempt,
-            )
-    raise ReductionError(
-        f"no grid point certified rank {r} within {min(grid_size, max_attempts)} attempts"
-    )
+    scalars = ([_as_scalar(Fraction(value)) for value in values] for values in candidates[:max_attempts])
+    return _first_certified(f, v, kept, fixed, r, scalars,
+                            f"no grid point certified rank {r} within {min(grid_size, max_attempts)} attempts")

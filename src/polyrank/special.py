@@ -21,7 +21,10 @@ after clearing denominators:
 
 Identity testing is fully symbolic by default.  For large inputs a
 randomized mode evaluates both sides at random integer points instead of
-expanding the products (Schwartz-Zippel, 20 trials by default).
+expanding the products (Schwartz-Zippel, 20 trials by default), comparing
+residues modulo the prime 2^61 - 1 (exact rationals when the prime divides
+a coefficient's denominator).  A mismatch of residues proves the sides
+differ; a match everywhere is the probabilistic verdict "identical".
 
 No attempt is made to recover the composition (h, p_1, ..., p_k) or to
 distinguish the additive from the multiplicative shape; the verdict only
@@ -30,11 +33,14 @@ reports whether the polynomial is special.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
 from .poly import Polynomial
-from .rank import rank, sample_point
+from .rank import rank, sample_point, trial_values
 
 #: Trials used by the randomized identity mode.
 RANDOMIZED_IDENTITY_TRIALS = 20
@@ -88,31 +94,14 @@ def _product_identity_holds(
     """Check prod(left) == prod(right); the randomized mode never expands
     the products symbolically."""
     if method == "exact":
-        lhs = left[0]
-        for p in left[1:]:
-            lhs = lhs * p
-        rhs = right[0]
-        for p in right[1:]:
-            rhs = rhs * p
-        return lhs == rhs
+        return functools.reduce(operator.mul, left) == functools.reduce(operator.mul, right)
     if method != "randomized":
         raise ValueError(f"unknown identity method {method!r} (expected 'exact' or 'randomized')")
-    degree = 0
-    for p in left + right:
-        d = p.total_degree()
-        if isinstance(d, int):
-            degree = max(degree, d)
-    total = degree * max(len(left), len(right))
+    total = max(map(_degree_or_zero, left + right)) * max(len(left), len(right))
     k = left[0].vars.k
     for t in range(RANDOMIZED_IDENTITY_TRIALS):
-        point = sample_point(seed, t, k, total)
-        lval = 1
-        for p in left:
-            lval *= p.eval(point)
-        rval = 1
-        for p in right:
-            rval *= p.eval(point)
-        if lval != rval:
+        values, ring = trial_values(left + right, sample_point(seed, t, k, total))
+        if not ring.is_zero(math.prod(values[:len(left)]) - math.prod(values[len(left):])):
             return False
     return True
 
@@ -163,11 +152,11 @@ def ratio_separated(f: Polynomial, i: str, j: str, method: str = "exact", seed: 
     total = 2 * (dg + dh)
     k = f.vars.k
     for t in range(RANDOMIZED_IDENTITY_TRIALS):
-        point = sample_point(seed, t, k, total)
-        gv, hv = g.eval(point), h.eval(point)
-        left = (gv * g_ij.eval(point) - g_i.eval(point) * g_j.eval(point)) * hv * hv
-        right = (hv * h_ij.eval(point) - h_i.eval(point) * h_j.eval(point)) * gv * gv
-        if left != right:
+        values, ring = trial_values((g, g_ij, g_i, g_j, h, h_ij, h_i, h_j), sample_point(seed, t, k, total))
+        gv, g_ijv, g_iv, g_jv, hv, h_ijv, h_iv, h_jv = values
+        left = (gv * g_ijv - g_iv * g_jv) * hv * hv
+        right = (hv * h_ijv - h_iv * h_jv) * gv * gv
+        if not ring.is_zero(left - right):
             return False
     return True
 

@@ -468,6 +468,32 @@ def test_full_substitution_agrees_with_eval(p, point):
     assert bound.eval([0, 0, 0]) == p.eval(point)
 
 
+rationals = st.fractions(max_denominator=130).filter(lambda x: abs(x) <= 10**6)
+rational_polys = st.builds(
+    lambda seed, scale: sparse_random_polynomial(random.Random(seed), V3, max_deg=6) * scale,
+    st.integers(0, 10**9),
+    st.fractions(min_value=-100, max_value=100, max_denominator=60).filter(bool),
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(polys, rational_polys),
+       st.lists(st.one_of(st.integers(-10**12, 10**12), rationals), min_size=3, max_size=3),
+       st.sampled_from([(1 << 61) - 1, 1_000_003, 61]))
+def test_modular_eval_is_the_residue_of_eval(p, point, modulus):
+    def residue(x):
+        return Fraction(x).numerator * pow(Fraction(x).denominator, -1, modulus) % modulus
+
+    denominators = [Fraction(c).denominator for c in p.terms.values()] + [Fraction(x).denominator for x in point]
+    if any(d % modulus == 0 for d in denominators):
+        with pytest.raises(ZeroDivisionError):
+            p.eval(point, modulus)
+        return
+    value = p.eval(point, modulus=modulus)
+    assert type(value) is int and 0 <= value < modulus
+    assert value == residue(p.eval(point))
+
+
 @settings(deadline=None)
 @given(polys)
 def test_print_parse_roundtrip(p):

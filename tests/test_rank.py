@@ -22,7 +22,17 @@ from polyrank import (
     rank_in,
     select_independent_columns,
 )
-from polyrank.rank import _rank_with_witness, _rational_rank, sample_point
+from polyrank.rank import (
+    MOD_PRIME,
+    PRIME,
+    RATIONALS,
+    Witness,
+    _randomized_rank,
+    _rank_with_witness,
+    bareiss,
+    sample_point,
+    trial_values,
+)
 from gens import (
     dense_random_polynomial,
     gapped_random_polynomial,
@@ -43,6 +53,65 @@ def P(text, vars=V3):
 
 def matrix(rows, vars=V3):
     return PolyMatrix(vars, [[parse(str(e), vars) if not isinstance(e, str) else parse(e, vars) for e in row] for row in rows])
+
+
+# ------------------------------------------------------------ rational references
+
+def _rational_rank(rows):
+    """Exact Gaussian elimination over Q with the engine's pivot rule: the
+    reference for the Bareiss routine over Q and over Z/PRIME."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    a = [row[:] for row in rows]
+    row_ids = list(range(n_rows))
+    col_ids = list(range(n_cols))
+    r = 0
+    while r < n_rows and r < n_cols:
+        pivot = None
+        for i in range(r, n_rows):
+            for j in range(r, n_cols):
+                if a[i][j]:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != r:
+            a[r], a[pi] = a[pi], a[r]
+            row_ids[r], row_ids[pi] = row_ids[pi], row_ids[r]
+        if pj != r:
+            for row in a:
+                row[r], row[pj] = row[pj], row[r]
+            col_ids[r], col_ids[pj] = col_ids[pj], col_ids[r]
+        piv = a[r][r]
+        for i in range(r + 1, n_rows):
+            factor = a[i][r] / piv
+            if factor:
+                for j in range(r, n_cols):
+                    a[i][j] -= factor * a[r][j]
+        r += 1
+    return r, Witness(rows=tuple(sorted(row_ids[:r])), cols=tuple(sorted(col_ids[:r])))
+
+
+def _rational_randomized_rank(m, trials, seed):
+    """Randomized rank with every entry evaluated as an exact Fraction and
+    eliminated over Q: the reference for the trials modulo PRIME."""
+    degree = m.total_degree()
+    best, best_witness = 0, Witness((), ())
+    for t in range(trials):
+        point = sample_point(seed, t, m.vars.k, degree)
+        r, witness = _rational_rank([[p.eval(point) for p in row] for row in m.entries])
+        if r > best:
+            best, best_witness = r, witness
+            if best == min(m.rows, m.cols):
+                break
+    return best, best_witness
+
+
+def _residues(rows):
+    return [[x.numerator * pow(x.denominator, -1, PRIME) % PRIME for x in row] for row in rows]
 
 
 # ------------------------------------------------------------ coefficient map
@@ -125,11 +194,12 @@ def _dense_jacobian(f, v):
     return PolyMatrix(f.vars, [[alpha.partial(name) for name in non_pivot] for alpha in _dense_coefficient_map(f, v)])
 
 
-def _dense_rank_json(f, method, trials, seed):
-    """rank(f, ...).to_json_dict() computed on dense Jacobians."""
+def _report_json(f, method, trials, seed, rank_of):
+    """rank(f, ...).to_json_dict() with ``rank_of(v, seed)`` giving each
+    pivot's rank and witness, rows labelled by pivot exponent."""
     per, overall, witness_var, witness = {}, -1, None, None
     for offset, v in enumerate(f.vars.names):
-        r, w = _rank_with_witness(_dense_jacobian(f, v), method, trials, seed + offset)
+        r, w = rank_of(v, seed + offset)
         per[v] = r
         if r > overall:
             overall, witness_var, witness = r, v, w
@@ -138,6 +208,19 @@ def _dense_rank_json(f, method, trials, seed):
         trials=trials if method == "randomized" else 0, seed=seed,
         witness_var=witness_var, witness=witness,
     ).to_json_dict()
+
+
+def _dense_rank_json(f, method, trials, seed):
+    """rank(f, ...).to_json_dict() computed on dense Jacobians."""
+    return _report_json(f, method, trials, seed,
+                        lambda v, s: _rank_with_witness(_dense_jacobian(f, v), method, trials, s))
+
+
+def _rational_rank_json(f, trials, seed):
+    """rank(f, "randomized", ...).to_json_dict() computed on dense Jacobians
+    evaluated as exact Fractions and eliminated over Q."""
+    return _report_json(f, "randomized", trials, seed,
+                        lambda v, s: _rational_randomized_rank(_dense_jacobian(f, v), trials, s))
 
 
 def _dense_instance(f, sets):
@@ -300,6 +383,22 @@ def test_determinant_agrees_with_sympy(n):
         }
 
 
+def test_determinant_agrees_with_sympy_det():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(V3.names)
+    rng = random.Random(5)  # the matrices of the cofactor test
+    for _ in range(15):
+        rows = [[sparse_random_polynomial(rng, V3, max_deg=1, max_terms=2) for _ in range(3)] for _ in range(3)]
+        expected = sympy.Matrix(
+            [[sum(sympy.Rational(c) * sympy.prod([g ** e for g, e in zip(gens, m)]) for m, c in p.terms.items())
+              for p in row] for row in rows]
+        ).det()
+        expected_terms = sympy.Poly(sympy.expand(expected), *gens, domain="QQ").as_dict()
+        assert PolyMatrix(V3, rows).determinant().terms == {
+            m: Fraction(int(c.p), int(c.q)) for m, c in expected_terms.items() if c
+        }
+
+
 # ------------------------------------------------------------ randomized rank
 
 def test_randomized_rank_zero_matrix():
@@ -341,6 +440,8 @@ def _sympy_rank(sympy, rows):
 
 
 def test_rational_rank_agrees_with_sympy():
+    """The Bareiss routine over Q and over Z/PRIME, against sympy and the
+    Gaussian reference: same rank and same witness."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2603)
     deficient = 0
@@ -354,17 +455,78 @@ def test_rational_rank_agrees_with_sympy():
         # small coordinates, so evaluations drop rank now and then
         point = random_point(rng, vars.k, -3, 3)
         for jac in (jacobian(coefficient_map(f, v)), _dense_jacobian(f, v)):
-            rows = jac.evaluate(point)
+            rows = [[p.eval(point) for p in row] for row in jac.entries]
             if case % 4 == 3:  # a rational combination of two rows
                 a, b = Fraction(rng.randint(-5, 5), 3), rng.randint(-5, 5)
                 rows = rows + [[a * x + b * y for x, y in zip(rows[0], rows[-1])]]
-            r, witness = _rational_rank(rows)
+            expected = _rational_rank(rows)
+            r, witness = expected
             assert r == _sympy_rank(sympy, rows)
             deficient += r < min(len(rows), len(rows[0]))
             assert len(witness.rows) == len(witness.cols) == r
             minor = [[rows[i][j] for j in witness.cols] for i in witness.rows]
             assert _sympy_rank(sympy, minor) == r
+            for ring, values in ((RATIONALS, rows), (MOD_PRIME, _residues(rows))):
+                got, witness, _, _ = bareiss([row[:] for row in values], ring)
+                assert (got, witness) == expected
     assert deficient >= 10
+
+
+CORPORA = {
+    "dense": lambda rng, vars: dense_random_polynomial(rng, vars, max_deg=2),
+    "sparse": lambda rng, vars: sparse_random_polynomial(rng, vars) or Polynomial.variable(vars, "x1"),
+    "gapped": gapped_random_polynomial,
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_modular_rank_matches_rational_reference(corpus):
+    rng = random.Random(2604)
+    for case in range(16):
+        vars = var_set(3 + case % 2)
+        f = CORPORA[corpus](rng, vars)
+        for v in vars.names:
+            jac = jacobian(coefficient_map(f, v))
+            assert _randomized_rank(jac, 5, case) == _rational_randomized_rank(jac, 5, case)
+        assert rank(f, seed=case).to_json_dict() == _rational_rank_json(f, 5, case)
+
+
+def test_prime_denominator_takes_the_rational_path():
+    for denominator in (PRIME, 3 * PRIME):
+        f = P("x1*x3 + x2*x3^2") + Polynomial(V3, {(1, 1, 2): Fraction(1, denominator)})
+        with pytest.raises(ZeroDivisionError):
+            f.eval([1, 2, 3], PRIME)
+        jac = jacobian(coefficient_map(f, "x3"))
+        _, ring = trial_values([p for row in jac.entries for p in row], sample_point(0, 0, 3, 4))
+        assert ring is RATIONALS
+        for seed in range(3):
+            assert _randomized_rank(jac, 5, seed) == _rational_randomized_rank(jac, 5, seed)
+            assert rank(f, seed=seed).to_json_dict() == _rational_rank_json(f, 5, seed)
+
+
+def test_randomized_trials_evaluate_modulo_prime(monkeypatch):
+    moduli = []
+    original = Polynomial.eval
+
+    def spy(self, point, modulus=None):
+        moduli.append(modulus)
+        return original(self, point, modulus)
+
+    monkeypatch.setattr(Polynomial, "eval", spy)
+    rng = random.Random(2605)
+    for case in range(12):
+        vars = var_set(3 + case % 2)
+        f = CORPORA[sorted(CORPORA)[case % 3]](rng, vars)
+        rank(f, method="randomized", seed=case)
+        generic_rank_randomized(jacobian(coefficient_map(f, "x1")), trials=3, seed=case)
+    assert moduli and set(moduli) == {PRIME}
+
+
+def test_huge_exponent_rank_is_fast():
+    f = parse("x1^100000000*x2", V2)
+    doc = rank(f).to_json_dict()
+    assert doc["per_variable"] == {"x1": 1, "x2": 1}
+    assert doc["witness"] == {"var": "x1", "rows": [100000000], "cols": [0]}
 
 
 # ------------------------------------------------------------ rank_in / rank

@@ -1,10 +1,12 @@
 """Special-form detection via derivative identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from polyrank import (
+    Polynomial,
     depends_on_all,
     is_special,
     parse,
@@ -12,7 +14,16 @@ from polyrank import (
     ratio_independent_of,
     ratio_separated,
 )
-from gens import perturbed_special, random_special, var_set
+from polyrank import special as special_module
+from polyrank.rank import PRIME, RATIONALS
+from gens import (
+    dense_random_polynomial,
+    gapped_random_polynomial,
+    perturbed_special,
+    random_special,
+    sparse_random_polynomial,
+    var_set,
+)
 
 V3 = var_set(3)
 
@@ -153,3 +164,56 @@ def test_randomized_identities_agree_with_exact():
         fast = is_special(f, method="randomized", seed=case)
         assert exact.verdict == fast.verdict
         assert exact.pair_checks == fast.pair_checks
+
+
+def _rational_trial_values(polys, point):
+    """Exact Fraction values: the reference for identities checked mod PRIME."""
+    return [p.eval(point) for p in polys], RATIONALS
+
+
+IDENTITY_CORPORA = {
+    "special": lambda rng: random_special(rng, V3, multiplicative=rng.random() < 0.5, max_deg=2),
+    "perturbed": lambda rng: perturbed_special(rng, V3, seed=rng.randrange(100)),
+    "dense": lambda rng: dense_random_polynomial(rng, V3, max_deg=2),
+    "sparse": lambda rng: sparse_random_polynomial(rng, V3) or P("x1*x2*x3"),
+    "gapped": lambda rng: gapped_random_polynomial(rng, V3),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(IDENTITY_CORPORA))
+def test_modular_identities_match_rational_reference(corpus, monkeypatch):
+    rng = random.Random(2606)
+    for case in range(8):
+        f = IDENTITY_CORPORA[corpus](rng)
+        modular = is_special(f, method="randomized", seed=case)
+        with monkeypatch.context() as patched:
+            patched.setattr(special_module, "trial_values", _rational_trial_values)
+            reference = is_special(f, method="randomized", seed=case)
+        assert modular.pair_checks == reference.pair_checks
+        assert modular.to_json_dict() == reference.to_json_dict()
+
+
+def test_prime_denominator_identities_take_the_rational_path():
+    # (x1 + x2/PRIME + x3)^2 is special; its partials have denominator PRIME
+    inner = P("x1 + x3") + Polynomial(V3, {(0, 1, 0): Fraction(1, PRIME)})
+    f = inner * inner
+    assert is_special(f, method="randomized").to_json_dict() == is_special(f, method="exact").to_json_dict()
+    assert is_special(f, method="randomized").verdict == "special"
+    g = f + P("x1*x2^2")
+    assert is_special(g, method="randomized").to_json_dict() == is_special(g, method="exact").to_json_dict()
+
+
+def test_randomized_identities_evaluate_modulo_prime(monkeypatch):
+    moduli = []
+    original = Polynomial.eval
+
+    def spy(self, point, modulus=None):
+        moduli.append(modulus)
+        return original(self, point, modulus)
+
+    monkeypatch.setattr(Polynomial, "eval", spy)
+    rng = random.Random(2607)
+    for case in range(6):
+        is_special(IDENTITY_CORPORA["special"](rng), method="randomized", seed=case)
+        is_special(IDENTITY_CORPORA["dense"](rng), method="randomized", seed=case)
+    assert moduli and set(moduli) == {PRIME}
