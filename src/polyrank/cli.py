@@ -140,9 +140,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     vars = _parse_vars(args.vars)
     f = parse(args.poly, vars)
     n_list = [int(v) for v in args.n.split(",")]
-    report = expansion_report(
-        f, args.sets, n_list, seed=args.seed, budget=budget, workers=args.workers
-    )
+    report = expansion_report(f, args.sets, n_list, seed=args.seed, budget=budget)
     if args.output == "csv":
         sys.stdout.write(report.to_csv_text())
     else:
@@ -225,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--seed", type=int, default=0)
     p_expand.add_argument("--budget", type=_positive_int, default=None,
                           help="max grid tuples (default POLYRANK_BUDGET or 10^8)")
-    p_expand.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
+    p_expand.add_argument("--workers", type=_positive_int, default=1,
+                          help="accepted for compatibility and ignored: the sweep runs in one process")
     p_expand.add_argument("--output", choices=("json", "csv"), default="json")
     p_expand.add_argument("--degenerate", type=int, default=None, metavar="K",
                           help="run the many-variables collapse demo with K extra variables")

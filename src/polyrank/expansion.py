@@ -6,8 +6,12 @@ hash by their canonical lowest-terms integer pair (the ``Fraction``
 contract, consistent with plain ``int``), so no collision can corrupt a
 count.
 
-The sweep runs in integers only.  With D_i the lcm of the denominators in
-A_i and c that of the coefficients, it enumerates the integer grid
+The sweep runs in one process, in integers only.  Inserting values into
+the image set is most of its cost, and a process pool would only add work
+there: the parent would unpickle and re-insert every worker's set.
+
+With D_i the lcm of the denominators in A_i and c that of the
+coefficients, the sweep enumerates the integer grid
 D_1*A_1 x ... x D_k*A_k under F(y) = D * f(y_1/D_1, ..., y_k/D_k), where
 D = c * prod D_i^deg_i(f) makes every coefficient of F an integer, and
 divides each distinct value by D once at the end.  The innermost variable
@@ -32,7 +36,6 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -44,9 +47,6 @@ from .poly import Polynomial, Scalar, VarSet
 from .rank import rank
 
 DEFAULT_BUDGET = 10**8
-
-#: Grids at least this large are worth forking workers for.
-PARALLEL_THRESHOLD = 200_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -101,18 +101,16 @@ def _column(pairs: Sequence[tuple[int, int]], powers: dict[int, list[int]], n: i
     return out
 
 
-def _integer_image(job: tuple[dict[tuple[int, ...], int], list[dict[int, list[int]]]]) -> set[int]:
+def _integer_image(terms: dict[tuple[int, ...], int], powers: list[dict[int, list[int]]]) -> set[int]:
     """Image of an integer polynomial over an integer grid.
 
-    ``job`` is ``(terms, powers)``: ``terms`` has exponent tuples in sweep
-    order, the outer variables first and the innermost last, and
-    ``powers[d][e]`` lists ``v ** e`` over the set of variable d, for each
-    exponent e > 0 of d in ``terms``.  Each residual in the innermost
+    ``terms`` has exponent tuples in sweep order, the outer variables first
+    and the innermost last, and ``powers[d][e]`` lists ``v ** e`` over the
+    set of variable d, for each exponent e > 0 of d in ``terms``.  Each residual in the innermost
     variable splits into a constant and a nonconstant part; residuals are
     grouped by that part, so a part shared by many prefixes is evaluated
     over the innermost set only once.
     """
-    terms, powers = job
     *outer, inner = powers
     groups: dict[tuple[tuple[int, int], ...], set[int]] = {}
     if outer:
@@ -194,7 +192,6 @@ def image_values(
     f: Polynomial,
     sets: Sequence[Sequence[Scalar]],
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> set:
     """The exact image set {f(a_1, ..., a_k) : a_i in A_i}.
 
@@ -241,21 +238,7 @@ def image_values(
         exponents = {m[i] for m in f.terms} - {0}
         powers.append({e: [v**e for v in values] for e in exponents})
 
-    first = powers[0]
-    n_first = len(next(iter(first.values())))
-    if workers > 1 and size >= PARALLEL_THRESHOLD and len(powers) > 1 and n_first > 1:
-        # Chunk the outermost variable; each job carries only its own columns.
-        n_chunks = min(workers * 4, n_first)
-        jobs = [
-            (terms, [{e: col[i::n_chunks] for e, col in first.items()}] + powers[1:])
-            for i in range(n_chunks)
-        ]
-        out: set[int] = set()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_integer_image, jobs):
-                out |= part
-    else:
-        out = _integer_image((terms, powers))
+    out = _integer_image(terms, powers)
     if scale == 1:
         return out
     image = set()
@@ -271,8 +254,12 @@ def image_size(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> int:
-    """Exact cardinality of the image of the grid under f."""
-    return len(image_values(f, sets, budget=budget, workers=workers))
+    """Exact cardinality of the image of the grid under f.
+
+    ``workers`` is accepted for compatibility and ignored: the sweep runs
+    in one process.
+    """
+    return len(image_values(f, sets, budget=budget))
 
 
 def fit_exponent(rows: Sequence[tuple[int, int]]) -> float:
@@ -323,7 +310,6 @@ def expansion_report(
     n_list: Sequence[int],
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> ExpansionReport:
     """Measure |f(A_1, ..., A_k)| for each n in ``n_list`` and fit the
     growth exponent.
@@ -346,7 +332,7 @@ def expansion_report(
             for i in range(f.vars.k)
         ]
         started = time.perf_counter()
-        size = image_size(f, sets, budget=budget, workers=workers)
+        size = image_size(f, sets, budget=budget)
         rows.append((n, size, time.perf_counter() - started))
     fitted = fit_exponent([(n, size) for n, size, _ in rows])
     n_max, size_max, _ = rows[-1]

@@ -34,19 +34,17 @@ def volume_vars(d: int) -> VarSet:
     return VarSet(tuple(f"x{i}" for i in range(1, d + 2)))
 
 
-def _difference(vars: VarSet, j: str, i: str) -> Polynomial:
-    return Polynomial.variable(vars, j) - Polynomial.variable(vars, i)
+def _vandermonde(vars: VarSet, count: int) -> Polynomial:
+    """prod_{1<=i<j<=count} (x_j - x_i) over the first ``count`` variables."""
+    xs = [Polynomial.variable(vars, name) for name in vars.names[:count]]
+    return product(vars, (xs[j] - xs[i] for i in range(count) for j in range(i + 1, count)))
 
 
 def volume_poly(d: int) -> Polynomial:
     """(1/d!) * prod_{1<=i<j<=d+1} (x_j - x_i), the simplex volume polynomial."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    vars = volume_vars(d)
-    names = vars.names
-    p = product(vars, (_difference(vars, names[j], names[i])
-                       for i in range(d + 1) for j in range(i + 1, d + 1)))
-    return p * Fraction(1, math.factorial(d))
+    return _vandermonde(volume_vars(d), d + 1) * Fraction(1, math.factorial(d))
 
 
 def vandermonde_matrix(d: int) -> PolyMatrix:
@@ -61,11 +59,7 @@ def vandermonde_matrix(d: int) -> PolyMatrix:
 
 def prefactor(d: int) -> Polynomial:
     """(1/d!) * prod_{1<=i<j<=d} (x_j - x_i): the part without x_{d+1}."""
-    vars = volume_vars(d)
-    names = vars.names
-    p = product(vars, (_difference(vars, names[j], names[i])
-                       for i in range(d) for j in range(i + 1, d)))
-    return p * Fraction(1, math.factorial(d))
+    return _vandermonde(volume_vars(d), d) * Fraction(1, math.factorial(d))
 
 
 def symmetric_polys(d: int) -> tuple[Polynomial, ...]:
@@ -78,13 +72,13 @@ def symmetric_polys(d: int) -> tuple[Polynomial, ...]:
     out = []
     for level in range(d + 1):
         m = d - level  # take m of the d roots
-        terms: dict[tuple[int, ...], Fraction] = {}
-        sign = Fraction(-1) ** m
-        for subset in combinations(range(d), m):
+        terms: dict[tuple[int, ...], int] = {}
+        sign = (-1) ** m
+        for subset in combinations(range(d), m):  # each a distinct monomial
             e = [0] * (d + 1)
             for i in subset:
                 e[i] = 1
-            terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + sign
+            terms[tuple(e)] = sign
         out.append(Polynomial(vars, terms))
     return tuple(out)
 
@@ -108,14 +102,13 @@ def det_m_sign(d: int) -> int:
     sign itself depends on d and is worth recording since it is easy to
     drop in hand computations.
     """
-    vars = volume_vars(d)
-    names = vars.names
-    vandermonde_d = product(vars, (_difference(vars, names[j], names[i])
-                                   for i in range(d) for j in range(i + 1, d)))
-    det = det_m(d)
-    if det == vandermonde_d:
+    return _det_sign(det_m(d), _vandermonde(volume_vars(d), d), d)
+
+
+def _det_sign(det: Polynomial, vandermonde: Polynomial, d: int) -> int:
+    if det == vandermonde:
         return 1
-    if det == -vandermonde_d:
+    if det == -vandermonde:
         return -1
     raise AssertionError(f"det(M) is not +-Vandermonde for d={d}")
 
@@ -144,10 +137,7 @@ def verify_rank(d: int, method: str = "randomized", trials: int = 5, seed: int =
     d columns, so a certified rank-d witness pins the generic rank exactly.
     (The exact method agrees but expands enormous minors for d >= 4.)
     """
-    return _has_rank_d(volume_poly(d), d, method, trials, seed)
-
-
-def _has_rank_d(f: Polynomial, d: int, method: str = "randomized", trials: int = 5, seed: int = 0) -> bool:
+    f = volume_poly(d)
     return rank_in(f, f.vars.names[-1], method=method, trials=trials, seed=seed) == d
 
 
@@ -164,8 +154,8 @@ def moment_summary(d: int) -> dict:
         "d": d,
         "volume_poly": str(inst.f),
         "factorization_ok": inst.g * reconstruction == inst.f,
-        "det_m_sign": det_m_sign(d),
-        "rank_ok": _has_rank_d(inst.f, d),
+        "det_m_sign": _det_sign(inst.m.determinant(), inst.g * math.factorial(d), d),
+        "rank_ok": rank_in(inst.f, inst.f.vars.names[-1]) == d,
     }
 
 

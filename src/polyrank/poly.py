@@ -466,18 +466,21 @@ class Polynomial:
     # -- calculus and evaluation -------------------------------------------
 
     def partial(self, name: str) -> "Polynomial":
-        """Formal partial derivative with respect to ``name``."""
+        """Formal partial derivative with respect to ``name``.
+
+        Terms with a positive exponent e in ``name`` map to distinct keys,
+        so each c * e is written straight into the output (as ``int`` when
+        integral).
+        """
         i = self.vars.index(name)
         out: dict[Exponents, Scalar] = {}
         for m, c in self._terms.items():
             e = m[i]
             if e:
-                key = m[:i] + (e - 1,) + m[i + 1:]
-                s = out.get(key, 0) + c * e
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                c *= e
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
+                out[m[:i] + (e - 1,) + m[i + 1:]] = c
         return Polynomial._raw(self.vars, out)
 
     def eval(self, point: Sequence[Scalar], modulus: int | None = None) -> Scalar:

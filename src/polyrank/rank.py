@@ -324,17 +324,6 @@ def generic_rank_randomized(m: PolyMatrix, trials: int = 5, seed: int = 0) -> in
     return r
 
 
-def _rank_with_witness(m: PolyMatrix, method: str, trials: int, seed: int) -> tuple[int, Witness]:
-    if method == "exact":
-        return generic_rank_exact(m)
-    if method != "randomized":
-        raise ValueError(f"unknown rank method {method!r} (expected 'exact' or 'randomized')")
-    # The returned witness is self-certifying: full pivoting only ever
-    # selects a minor whose determinant is nonzero mod PRIME at the sample
-    # point, which proves the symbolic determinant is nonzero.
-    return _randomized_rank(m, trials, seed)
-
-
 def rank_in(f: Polynomial, v: str, method: str = "randomized", trials: int = 5, seed: int = 0) -> int:
     """rank of f with respect to pivot variable ``v``: the generic rank of
     the Jacobian of its coefficient map."""
@@ -346,7 +335,16 @@ def _rank_in_with_witness(
     f: Polynomial, v: str, method: str, trials: int, seed: int
 ) -> tuple[int, Witness]:
     cm = coefficient_map(f, v)
-    r, witness = _rank_with_witness(jacobian(cm), method, trials, seed)
+    m = jacobian(cm)
+    if method == "exact":
+        r, witness = generic_rank_exact(m)
+    elif method == "randomized":
+        # The witness is self-certifying: full pivoting only ever selects a
+        # minor whose determinant is nonzero mod PRIME at the sample point,
+        # which proves the symbolic determinant is nonzero.
+        r, witness = _randomized_rank(m, trials, seed)
+    else:
+        raise ValueError(f"unknown rank method {method!r} (expected 'exact' or 'randomized')")
     return r, witness._replace(rows=tuple(cm.exponents[i] for i in witness.rows))
 
 

@@ -19,12 +19,15 @@ after clearing denominators:
 
   where subscripts denote further partials in x_i and x_j.
 
-Identity testing is fully symbolic by default.  For large inputs a
-randomized mode evaluates both sides at random integer points instead of
-expanding the products (Schwartz-Zippel, 20 trials by default), comparing
-residues modulo the prime 2^61 - 1 (exact rationals when the prime divides
-a coefficient's denominator).  A mismatch of residues proves the sides
-differ; a match everywhere is the probabilistic verdict "identical".
+Both identities go through one checker, which takes the partials as
+factors and a function building the two sides from them.  Identity testing
+is fully symbolic by default.  For large inputs a randomized mode applies
+the same function to the factors' values at random integer points instead
+of expanding the products (Schwartz-Zippel, 20 trials by default),
+comparing residues modulo the prime 2^61 - 1 (exact rationals when the
+prime divides a coefficient's denominator).  A mismatch of residues proves
+the sides differ; a match everywhere is the probabilistic verdict
+"identical".
 
 No attempt is made to recover the composition (h, p_1, ..., p_k) or to
 distinguish the additive from the multiplicative shape; the verdict only
@@ -33,11 +36,9 @@ reports whether the polynomial is special.
 
 from __future__ import annotations
 
-import functools
-import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .poly import Polynomial
 from .rank import rank, sample_point, trial_values
@@ -88,20 +89,25 @@ def depends_on_all(f: Polynomial) -> bool:
     return all(not f.partial(v).is_zero for v in f.vars)
 
 
-def _product_identity_holds(
-    left: tuple[Polynomial, ...], right: tuple[Polynomial, ...], method: str, seed: int
+def _identity_holds(
+    factors: tuple[Polynomial, ...], sides: Callable[..., tuple], degree: int, method: str, seed: int
 ) -> bool:
-    """Check prod(left) == prod(right); the randomized mode never expands
-    the products symbolically."""
+    """Are the two sides ``sides(*factors)`` equal?
+
+    ``exact`` compares the symbolic sides.  ``randomized`` applies ``sides``
+    to the values of ``factors`` at seeded points drawn for ``degree``, the
+    degree of the sides, so no product is expanded symbolically.
+    """
     if method == "exact":
-        return functools.reduce(operator.mul, left) == functools.reduce(operator.mul, right)
+        lhs, rhs = sides(*factors)
+        return lhs == rhs
     if method != "randomized":
         raise ValueError(f"unknown identity method {method!r} (expected 'exact' or 'randomized')")
-    total = max(map(_degree_or_zero, left + right)) * max(len(left), len(right))
-    k = left[0].vars.k
+    k = factors[0].vars.k
     for t in range(RANDOMIZED_IDENTITY_TRIALS):
-        values, ring = trial_values(left + right, sample_point(seed, t, k, total))
-        if not ring.is_zero(math.prod(values[:len(left)]) - math.prod(values[len(left):])):
+        values, ring = trial_values(factors, sample_point(seed, t, k, degree))
+        lhs, rhs = sides(*values)
+        if not ring.is_zero(lhs - rhs):
             return False
     return True
 
@@ -118,7 +124,13 @@ def ratio_independent_of(f: Polynomial, i: str, j: str, m: str, method: str = "e
     fj = f.partial(j)
     if fj.is_zero:
         raise ValueError(f"denominator derivative d/d{j} is zero")
-    return _product_identity_holds((fi.partial(m), fj), (fi, fj.partial(m)), method, seed)
+    factors = (fi.partial(m), fj, fi, fj.partial(m))
+    degree = 2 * max(map(_degree_or_zero, factors))
+    return _identity_holds(factors, _independence_sides, degree, method, seed)
+
+
+def _independence_sides(fi_m, fj, fi, fj_m):
+    return fi_m * fj, fi * fj_m
 
 
 def _degree_or_zero(p: Polynomial) -> int:
@@ -141,37 +153,25 @@ def ratio_separated(f: Polynomial, i: str, j: str, method: str = "exact", seed: 
         raise ValueError("both partial derivatives must be nonzero")
     g_i, g_j, g_ij = g.partial(i), g.partial(j), g.partial(i).partial(j)
     h_i, h_j, h_ij = h.partial(i), h.partial(j), h.partial(i).partial(j)
-    if method == "exact":
-        lhs = g * g_ij - g_i * g_j
-        rhs = h * h_ij - h_i * h_j
-        return lhs * h * h == rhs * g * g
-    if method != "randomized":
-        raise ValueError(f"unknown identity method {method!r} (expected 'exact' or 'randomized')")
-    # evaluate every factor and combine numerically; nothing is expanded
-    dg, dh = _degree_or_zero(g), _degree_or_zero(h)
-    total = 2 * (dg + dh)
-    k = f.vars.k
-    for t in range(RANDOMIZED_IDENTITY_TRIALS):
-        values, ring = trial_values((g, g_ij, g_i, g_j, h, h_ij, h_i, h_j), sample_point(seed, t, k, total))
-        gv, g_ijv, g_iv, g_jv, hv, h_ijv, h_iv, h_jv = values
-        left = (gv * g_ijv - g_iv * g_jv) * hv * hv
-        right = (hv * h_ijv - h_iv * h_jv) * gv * gv
-        if not ring.is_zero(left - right):
-            return False
-    return True
+    degree = 2 * (_degree_or_zero(g) + _degree_or_zero(h))
+    return _identity_holds((g, g_ij, g_i, g_j, h, h_ij, h_i, h_j), _separation_sides, degree, method, seed)
+
+
+def _separation_sides(g, g_ij, g_i, g_j, h, h_ij, h_i, h_j):
+    return (g * g_ij - g_i * g_j) * h * h, (h * h_ij - h_i * h_j) * g * g
 
 
 def is_special(
     f: Polynomial,
     method: str = "exact",
-    rank_method: str = "randomized",
     trials: int = 5,
     seed: int = 0,
 ) -> SpecialFormVerdict:
     """Full special-form verdict for a polynomial in at least 3 variables.
 
     ``special`` requires rank(f) == 1, dependence on every variable, and
-    every pairwise independence/separation identity to hold.  For inputs
+    every pairwise independence/separation identity to hold; the rank
+    comes from the randomized engine with ``trials`` trials.  For inputs
     depending on all variables the identity checks agree with rank(f) == 1,
     so a disagreement would indicate a bug rather than a boundary case.
     """
@@ -194,7 +194,7 @@ def is_special(
         sep = ratio_separated(f, i, j, method=method, seed=seed)
         checks[(i, j)] = PairCheck(independence_ok=indep, separation_ok=sep)
         all_ok = all_ok and indep and sep
-    rank1 = rank(f, method=rank_method, trials=trials, seed=seed).overall == 1
+    rank1 = rank(f, method="randomized", trials=trials, seed=seed).overall == 1
     verdict = "special" if (rank1 and all_ok) else "not_special"
     return SpecialFormVerdict(
         rank1=rank1, depends_on_all=True, pair_checks=checks, verdict=verdict

@@ -126,6 +126,19 @@ def test_partial_unknown_variable():
         P("x1").partial("y")
 
 
+def test_partial_keeps_canonical_coefficient_types():
+    # x1^2/2 + x1^3*x2/3 + 5*x1*x2^4/7: d/dx1 gives 1*x1 + 1*x1^2*x2 + 5/7*x2^4
+    f = Polynomial(V3, {(2, 0, 0): Fraction(1, 2), (3, 1, 0): Fraction(1, 3), (1, 4, 0): Fraction(5, 7)})
+    df = f.partial("x1")
+    assert df.terms == {(1, 0, 0): 1, (2, 1, 0): 1, (0, 4, 0): Fraction(5, 7)}
+    rng = random.Random(13)
+    for _ in range(200):
+        g = sparse_random_polynomial(rng, V3) * Fraction(1, rng.randint(1, 12))
+        for name in V3.names:
+            for c in g.partial(name).terms.values():
+                assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
 def test_eval_examples():
     f = P("x1*x3 + x2*x3^2")
     assert f.eval([1, 2, 3]) == 21

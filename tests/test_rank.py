@@ -28,7 +28,6 @@ from polyrank.rank import (
     RATIONALS,
     Witness,
     _randomized_rank,
-    _rank_with_witness,
     bareiss,
     sample_point,
     trial_values,
@@ -213,7 +212,11 @@ def _report_json(f, method, trials, seed, rank_of):
 def _dense_rank_json(f, method, trials, seed):
     """rank(f, ...).to_json_dict() computed on dense Jacobians."""
     return _report_json(f, method, trials, seed,
-                        lambda v, s: _rank_with_witness(_dense_jacobian(f, v), method, trials, s))
+                        lambda v, s: _dense_rank_with_witness(_dense_jacobian(f, v), method, trials, s))
+
+
+def _dense_rank_with_witness(m, method, trials, seed):
+    return generic_rank_exact(m) if method == "exact" else _randomized_rank(m, trials, seed)
 
 
 def _rational_rank_json(f, trials, seed):
