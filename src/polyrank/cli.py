@@ -62,29 +62,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _epsilon(text: str) -> float:
+    """argparse type for the incidence bound's slack: the bound holds for
+    every eps > 0, and n^(... + eps) stays a finite float for eps <= 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value <= 1:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
+    return value
+
+
 def _parse_vars(text: str) -> VarSet:
     names = tuple(name.strip() for name in text.split(",") if name.strip())
     return VarSet(names)
-
-
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 def _parse_sets(text: str, vars: VarSet, seed: int) -> list[tuple]:
     """Either 'kind:n' (one recipe for every variable, per-variable seeds)
     or explicit '|'-separated value lists, one per variable."""
     if "|" in text or ":" not in text:
-        groups = text.split("|")
+        groups = [tuple(v for v in group.split(",") if v.strip()) for group in text.split("|")]
         if len(groups) != vars.k:
             raise ValueError(f"need {vars.k} explicit sets separated by '|', got {len(groups)}")
-        out = []
-        for group in groups:
-            values = tuple(_parse_rational(v) for v in group.split(",") if v.strip())
-            if not values or len(set(values)) != len(values):
-                raise ValueError(f"set {group!r} must list distinct values")
-            out.append(tuple(sorted(values)))
-        return out
+        return [generate_set(SetSpec("explicit", len(values), params=values)) for values in groups]
     kind, _, n_text = text.partition(":")
     if kind not in _GENERATOR_KINDS:
         raise ValueError(f"unknown set kind {kind!r} (expected one of {', '.join(_GENERATOR_KINDS)})")
@@ -163,7 +165,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         _emit(moment_summary(args.d))
         return 0
     if args.points:
-        params = [_parse_rational(v) for v in args.points.split(",")]
+        params = [Fraction(v) for v in args.points.split(",")]
         _emit(distinct_volumes(params, args.d, signed=args.signed).to_json_dict())
         return 0
     if args.n:
@@ -188,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="per-variable and overall rank")
     add_poly_args(p_rank)
     p_rank.add_argument("--method", choices=("exact", "randomized"), default="randomized")
-    p_rank.add_argument("--trials", type=int, default=5)
+    p_rank.add_argument("--trials", type=_positive_int, default=5)
     p_rank.add_argument("--seed", type=int, default=0)
     p_rank.set_defaults(func=_cmd_rank)
 
@@ -200,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="identity-testing mode (randomized avoids expanding large products)",
     )
-    p_special.add_argument("--trials", type=int, default=5, help="rank-engine trials")
+    p_special.add_argument("--trials", type=_positive_int, default=5, help="rank-engine trials")
     p_special.add_argument("--seed", type=int, default=0)
     p_special.set_defaults(func=_cmd_special)
 
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_poly_args(p_reduce)
     p_reduce.add_argument("--pivot", required=True, help="pivot variable")
     p_reduce.add_argument("--seed", type=int, default=0)
-    p_reduce.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
+    p_reduce.add_argument("--max-attempts", type=_positive_int, default=DEFAULT_MAX_ATTEMPTS)
     p_reduce.add_argument(
         "--sets",
         help="draw fixed values from these sets: 'kind:n' or explicit 'a,b|c,d|...'",
@@ -235,11 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_inc.add_argument("--sets", required=True, help="'kind:n' or explicit 'a,b|c,d|...'")
     p_inc.add_argument("--seed", type=int, default=0)
     p_inc.add_argument("--budget", type=_positive_int, default=None)
-    p_inc.add_argument("--eps", type=float, default=0.1)
+    p_inc.add_argument("--eps", type=_epsilon, default=0.1)
     p_inc.set_defaults(func=_cmd_incidence)
 
     p_moment = sub.add_parser("moment", help="moment-curve simplex volumes")
-    p_moment.add_argument("--d", type=int, required=True, help="ambient dimension")
+    p_moment.add_argument("--d", type=_positive_int, required=True, help="ambient dimension")
     p_moment.add_argument("--points", help="comma-separated distinct parameters")
     p_moment.add_argument("--n", help="comma-separated sizes for an expansion report")
     p_moment.add_argument("--sets", choices=_GENERATOR_KINDS, default="random_int")

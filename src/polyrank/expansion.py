@@ -39,11 +39,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from operator import add as _add
 from typing import Sequence
 
-from .poly import Polynomial, Scalar, VarSet
+from .poly import Polynomial, Scalar, VarSet, _as_scalar, _cleared, _over
 from .rank import rank
 
 DEFAULT_BUDGET = 10**8
@@ -84,10 +83,10 @@ def generate_set(spec: SetSpec) -> tuple[Scalar, ...]:
         rng = random.Random(spec.seed)
         return tuple(sorted(rng.sample(range(0, spec.n**3 + 1), spec.n)))
     if spec.kind == "explicit":
-        values = tuple(sorted(Fraction(v) for v in spec.params))
+        values = tuple(sorted(_as_scalar(Fraction(v)) for v in spec.params))
         if len(values) != spec.n or len(set(values)) != spec.n:
-            raise ValueError("explicit set must contain exactly n distinct values")
-        return tuple(v.numerator if v.denominator == 1 else v for v in values)
+            raise ValueError(f"explicit set {', '.join(map(str, values))} must list {spec.n} distinct values")
+        return values
     raise ValueError(f"unknown set kind {spec.kind!r}")
 
 
@@ -210,42 +209,33 @@ def image_values(
     if f.is_zero:
         return {0}
 
-    # Sweep F(y) = D * f(y_1 / D_1, ..., y_k / D_k) over the integer grid
-    # D_i * A_i, where D_i clears the denominators of A_i and
-    # D = c * prod D_i^deg_i (c clearing the coefficients'), so every
-    # coefficient of F is an integer.
+    # Sweep F(y) = D * f(y_1 / D_1, ..., y_k / D_k), D = c * prod D_i^deg_i,
+    # over the integer grid D_i * A_i (see the module docstring).
     degrees = [max(m[i] for m in f.terms) for i in range(k)]
     active = [i for i in range(k) if degrees[i]]  # f ignores the others
     if not active:
         return set(f.terms.values())
-    scales = {i: lcm(*(v.denominator for v in sets[i])) for i in active}
-    c_scale = lcm(*(c.denominator for c in f.terms.values()))
-    scale = c_scale * math.prod(scales[i] ** degrees[i] for i in active)
+    cleared = {i: _cleared(sets[i]) for i in active}  # i -> (D_i * A_i, D_i)
+    coeffs, scale = _cleared(f.terms.values())
+    scale *= math.prod(cleared[i][1] ** degrees[i] for i in active)
 
     # Innermost: the lowest degree, then the fewest terms, then the lowest
     # index; the other variables keep their order.
     inner = min(active, key=lambda i: (degrees[i], sum(1 for m in f.terms if m[i]), i))
     order = [i for i in active if i != inner] + [inner]
     terms: dict[tuple[int, ...], int] = {}
-    for m, c in f.terms.items():
-        coeff = c.numerator * (c_scale // c.denominator)
+    for m, coeff in zip(f.terms, coeffs):
         for i in active:
-            coeff *= scales[i] ** (degrees[i] - m[i])
+            coeff *= cleared[i][1] ** (degrees[i] - m[i])
         terms[tuple(m[i] for i in order)] = coeff
     powers = []
     for i in order:
-        values = dict.fromkeys(v.numerator * (scales[i] // v.denominator) for v in sets[i])
+        values = dict.fromkeys(cleared[i][0])
         exponents = {m[i] for m in f.terms} - {0}
         powers.append({e: [v**e for v in values] for e in exponents})
 
     out = _integer_image(terms, powers)
-    if scale == 1:
-        return out
-    image = set()
-    for value in out:
-        q, r = divmod(value, scale)
-        image.add(Fraction(value, scale) if r else q)
-    return image
+    return out if scale == 1 else set(map(_over, out, repeat(scale)))
 
 
 def image_size(

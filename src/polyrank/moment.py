@@ -11,9 +11,11 @@ computed determinant sign depends on d and is recorded; the sign-free
 identity det(M)^2 = prod^2 is what gets asserted.)
 
 Distinct volumes of point sets on the curve are enumerated exactly: every
-(d+1)-subset of the parameters contributes (1/d!) * |prod of differences|,
-deduplicated as exact rationals.  A signed mode also counts both
-orientations of each simplex.
+(d+1)-subset of the parameters contributes (1/d!) * |prod of differences|.
+On the sorted parameters cleared to integers over their common denominator
+D, every difference is a positive integer; the distinct integer products
+are collected and each is divided once by d! * D^(d(d+1)/2), a one-to-one
+map.  A signed mode also counts both orientations of each simplex.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .expansion import SetSpec, _set_seed, fit_exponent, generate_set, theoretical_exponent
-from .poly import Polynomial, Scalar, VarSet, product
+from .poly import Polynomial, Scalar, VarSet, _cleared, _over, product
 from .rank import PolyMatrix, rank_in
 
 
@@ -189,22 +191,25 @@ def distinct_volumes(parameters: Sequence[Scalar], d: int, signed: bool = False)
     Default counts absolute (geometric) volumes; signed mode counts both
     orientations, i.e. includes -v alongside every v.
     """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
     params = tuple(Fraction(t) for t in parameters)
     if len(set(params)) != len(params):
         raise ValueError("parameters must be distinct")
     if len(params) < d + 1:
         raise ValueError(f"need at least d+1 = {d + 1} parameters, got {len(params)}")
-    scale = Fraction(1, math.factorial(d))
-    volumes = set()
-    for subset in combinations(sorted(params), d + 1):
-        prod = Fraction(1)
-        for i in range(d + 1):
-            for j in range(i + 1, d + 1):
-                prod *= subset[j] - subset[i]
-        v = scale * abs(prod)
-        volumes.add(v)
-        if signed:
-            volumes.add(-v)
+    points, scale = _cleared(sorted(params))  # sorted: differences are positive
+    pairs = list(combinations(range(d + 1), 2))
+    products = set()
+    for subset in combinations(points, d + 1):
+        prod = 1
+        for i, j in pairs:
+            prod *= subset[j] - subset[i]
+        products.add(prod)
+    denominator = math.factorial(d) * scale ** (d * (d + 1) // 2)
+    volumes = {_over(prod, denominator) for prod in products}
+    if signed:
+        volumes |= {-v for v in volumes}
     return VolumeSet(d=d, parameters=params, volumes=frozenset(volumes), signed=signed)
 
 

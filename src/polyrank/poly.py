@@ -28,8 +28,10 @@ per slot, the slot of an exponent vector being its value in the mixed
 radix ``R_i = deg_i(a) + deg_i(b) + 1``; one big-integer multiply forms
 every coefficient, and a bias of half a slot's range on every slot lets
 signed coefficients be read back byte by byte.  Otherwise a loop over the
-term pairs is cheaper.  Rational operands are scaled to integers by the
-lcm of their denominators first and the product divided once at the end.
+term pairs is cheaper.  Rational operands are cleared to integers over
+the lcm D of their denominators (:func:`_cleared`) and the product divided
+by D once at the end (:func:`_over`): the package's one int/Fraction
+boundary, which the image sweep and the moment-curve volume count use too.
 
 Exact division (:func:`exact_div`, the inner step of fraction-free
 elimination) packs each monomial into one integer, total degree in the top
@@ -51,7 +53,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product as _cartesian
 from math import lcm
 from operator import add as _add, mul as _mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
@@ -107,14 +109,6 @@ class VarSet:
         return cls(tuple(names))
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
-
-
 def _as_scalar(value: Scalar) -> Scalar:
     """Normalize a rational: integral values are stored as plain int.
 
@@ -147,8 +141,7 @@ def _residue(value: Scalar, modulus: int) -> int:
 
 def _ratio(numerator: Scalar, denominator: Scalar) -> Scalar:
     """Exact scalar quotient (never a float)."""
-    q = Fraction(numerator) / Fraction(denominator)
-    return q.numerator if q.denominator == 1 else q
+    return _as_scalar(Fraction(numerator) / denominator)
 
 
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
@@ -156,13 +149,27 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     return (sum(exponents), exponents)
 
 
+def _cleared(values: Collection[Scalar]) -> tuple[list[int], int]:
+    """``(n, D)`` with ``values[i] == n[i] / D``, D the lcm of the
+    denominators: the one way rationals enter integer arithmetic."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _over(numerator: int, scale: int) -> Scalar:
+    """The canonical scalar ``numerator / scale``: int when ``scale``
+    divides ``numerator``, a Fraction in lowest terms otherwise."""
+    q, r = divmod(numerator, scale)
+    return Fraction(numerator, scale) if r else q
+
+
 def _integral(terms: dict[Exponents, Scalar]) -> tuple[dict[Exponents, int], int]:
-    """``(n, s)`` with ``terms == n / s``, n integral and s the lcm of the
-    denominators; ``terms`` itself when it holds no Fraction."""
+    """``(n, s)`` with ``terms == n / s`` as by :func:`_cleared`;
+    ``terms`` itself when it holds no Fraction."""
     if Fraction not in map(type, terms.values()):
         return terms, 1  # type: ignore[return-value]
-    scale = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}, scale
+    coeffs, scale = _cleared(terms.values())
+    return dict(zip(terms, coeffs)), scale
 
 
 def _is_dense(a: dict[Exponents, Scalar], b: dict[Exponents, Scalar]) -> bool:
@@ -322,13 +329,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, vars: VarSet, value: Scalar) -> "Polynomial":
-        return cls(vars, {(0,) * vars.k: _as_fraction(value)})
+        return cls(vars, {(0,) * vars.k: value})
 
     @classmethod
     def variable(cls, vars: VarSet, name: str) -> "Polynomial":
         i = vars.index(name)
         exponents = tuple(1 if j == i else 0 for j in range(vars.k))
-        return cls(vars, {exponents: Fraction(1)})
+        return cls(vars, {exponents: 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -416,10 +423,8 @@ class Polynomial:
     def __mul__(self, other: object) -> "Polynomial":
         """Product of two polynomials, by one of two exact kernels.
 
-        Rational operands are first scaled to integer term maps by the lcm
-        of their denominators, and the integer product is divided by the
-        two scales once at the end, so integral values come out as int and
-        the others as Fraction in lowest terms.
+        Rational operands are cleared to integer term maps (:func:`_integral`)
+        and the integer product is divided once by both scales (:func:`_over`).
 
         The kernel follows from the operands alone.  Let each variable have
         the radix ``R_i = deg_i(a) + deg_i(b) + 1``: the product's exponents
@@ -444,8 +449,7 @@ class Polynomial:
         scale = a_scale * b_scale
         if scale != 1:
             for m, c in out.items():
-                c = Fraction(c, scale)
-                out[m] = c.numerator if c.denominator == 1 else c
+                out[m] = _over(c, scale)
         return Polynomial._raw(self.vars, out)
 
     __rmul__ = __mul__

@@ -50,9 +50,7 @@ class ReductionResult:
 
 
 def _rational_json(value: Scalar) -> int | str:
-    if isinstance(value, int):
-        return value
-    return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    return value if isinstance(value, int) else str(value)  # canonical: a Fraction is never integral
 
 
 def select_independent_columns(j: PolyMatrix, r: int) -> tuple[int, ...]:

@@ -145,6 +145,11 @@ def embedded_rank_poly(rng: random.Random, vars: VarSet, r: int) -> Polynomial:
     return f
 
 
+def canonical_types(values) -> bool:
+    """int for every integral value, Fraction for every other one."""
+    return all(type(v) is (int if Fraction(v).denominator == 1 else Fraction) for v in values)
+
+
 def brute_image(f: Polynomial, sets) -> set:
     """Independent image oracle: full product enumeration through eval."""
     out = set()

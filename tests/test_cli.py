@@ -4,6 +4,7 @@ import importlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -127,6 +128,42 @@ def test_nonpositive_count_flags_are_usage_errors(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "positive integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rank", "--poly", "x1*x2", "--vars", "x1,x2", "--trials"),
+    ("special", "--poly", "x1*x2", "--vars", "x1,x2", "--trials"),
+    ("reduce", "--poly", "x1*x2 + x3 + x4", "--vars", "x1,x2,x3,x4", "--pivot", "x1", "--max-attempts"),
+    ("moment", "--points", "1,2,3", "--d"),
+])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_trials_attempts_and_dimension_are_usage_errors(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv, value)
+    assert code == 2
+    assert out == ""
+    assert "positive integer" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-0.1", "nan", "inf", "1e308"])
+def test_incidence_eps_outside_unit_interval_is_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "incidence", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3",
+                             "--sets", "interval:3", "--eps", value)
+    assert code == 2
+    assert out == ""
+    assert "(0, 1]" in err
+
+
+def test_explicit_sets_are_canonical_and_checked(capsys):
+    from polyrank.cli import _parse_sets
+    from polyrank.poly import VarSet
+
+    sets = _parse_sets("3,-1/2,4/2|1/3", VarSet.of("x1", "x2"), seed=0)
+    assert sets == [(Fraction(-1, 2), 2, 3), (Fraction(1, 3),)]
+    assert [type(v) for v in sets[0]] == [Fraction, int, int]
+    code, out, err = run_cli(capsys, "incidence", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3",
+                             "--sets", "1,2,2/1|3|5")
+    assert (code, out) == (1, "")
+    assert err == "polyrank: error: explicit set 1, 2, 2 must list 3 distinct values\n"
 
 
 def test_incidence_budget_must_be_positive(capsys):

@@ -19,7 +19,7 @@ from polyrank import (
     parse,
     theoretical_exponent,
 )
-from gens import brute_image, sparse_random_polynomial, var_set
+from gens import brute_image, canonical_types, sparse_random_polynomial, var_set
 
 V3 = var_set(3)
 
@@ -184,11 +184,6 @@ def reference_image(f: Polynomial, sets: Sequence[Sequence]) -> set:
     out = set()
     _reference_sweep(terms, value_lists, pow_tables, 0, out)
     return out
-
-
-def canonical_types(values) -> bool:
-    """int for every integral value, Fraction for every other one."""
-    return all(type(v) is (int if Fraction(v).denominator == 1 else Fraction) for v in values)
 
 
 scalars = st.one_of(

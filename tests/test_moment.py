@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polyrank import (
     Polynomial,
@@ -23,6 +24,8 @@ from polyrank import (
     volume_poly,
 )
 from polyrank.moment import prefactor, volume_vars
+
+from gens import canonical_types
 
 
 def test_volume_poly_low_dimensions():
@@ -193,6 +196,55 @@ def test_distinct_volumes_validation():
         distinct_volumes([1, 1, 2], 1)
     with pytest.raises(ValueError, match="d\\+1"):
         distinct_volumes([1, 2], 2)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            distinct_volumes([1, 2, 3], d)
+
+
+def reference_volumes(parameters, d, signed):
+    """(1/d!) * |prod of differences| over every (d+1)-subset, in Fraction
+    arithmetic throughout."""
+    scale = Fraction(1, math.factorial(d))
+    volumes = set()
+    for subset in combinations(sorted(Fraction(t) for t in parameters), d + 1):
+        prod = Fraction(1)
+        for i in range(d + 1):
+            for j in range(i + 1, d + 1):
+                prod *= subset[j] - subset[i]
+        v = scale * abs(prod)
+        volumes.add(v)
+        if signed:
+            volumes.add(-v)
+    return volumes
+
+
+parameters = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-12, max_value=12, max_denominator=11),
+)
+
+
+@st.composite
+def volume_cases(draw):
+    """d = 1..4 and at least d+1 distinct int, Fraction or mixed parameters,
+    negative ones included, in any order."""
+    d = draw(st.integers(1, 4))
+    params = draw(st.lists(parameters, min_size=d + 1, max_size=9, unique_by=Fraction))
+    return params, d, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=300)
+@given(volume_cases())
+@example(([Fraction(1, 2), -3, Fraction(7, 3), 5], 2, True))
+@example(([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)], 2, False))
+@example(([-2, Fraction(3, 5), 1, 4, Fraction(-7, 2)], 4, False))
+def test_distinct_volumes_match_fraction_reference(case):
+    params, d, signed = case
+    result = distinct_volumes(params, d, signed=signed)
+    assert result.volumes == reference_volumes(params, d, signed)
+    assert canonical_types(result.volumes)
+    assert result.parameters == tuple(Fraction(t) for t in params)
+    assert all(type(t) is Fraction for t in result.parameters)
 
 
 def test_volume_translation_and_scaling_invariance():
