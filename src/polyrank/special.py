@@ -20,14 +20,16 @@ after clearing denominators:
   where subscripts denote further partials in x_i and x_j.
 
 Both identities go through one checker, which takes the partials as
-factors and a function building the two sides from them.  Identity testing
-is fully symbolic by default.  For large inputs a randomized mode applies
-the same function to the factors' values at random integer points instead
-of expanding the products (Schwartz-Zippel, 20 trials by default),
+factors and a function building the two sides from them.  It applies the
+function to the factors' values at seeded random integer points,
 comparing residues modulo the prime 2^61 - 1 (exact rationals when the
 prime divides a coefficient's denominator).  A mismatch of residues proves
-the sides differ; a match everywhere is the probabilistic verdict
-"identical".
+the sides differ (Schwartz-Zippel).  The default ``exact`` mode evaluates
+at one point and expands the products symbolically only for identities
+that survive it, so a false identity is refuted without expansion and a
+true one is still proved by comparing the expanded sides.  For large
+inputs a ``randomized`` mode skips the expansion and evaluates at 20
+points; a match everywhere is the probabilistic verdict "identical".
 
 No attempt is made to recover the composition (h, p_1, ..., p_k) or to
 distinguish the additive from the multiplicative shape; the verdict only
@@ -94,22 +96,26 @@ def _identity_holds(
 ) -> bool:
     """Are the two sides ``sides(*factors)`` equal?
 
-    ``exact`` compares the symbolic sides.  ``randomized`` applies ``sides``
-    to the values of ``factors`` at seeded points drawn for ``degree``, the
-    degree of the sides, so no product is expanded symbolically.
+    Both methods first apply ``sides`` to the values of ``factors`` at
+    seeded points drawn for ``degree``, the degree of the sides; a mismatch
+    proves the sides differ.  ``exact`` uses one point (trial 0 of
+    ``randomized``) and then compares the expanded symbolic sides, so only
+    identities that survive the point are expanded.  ``randomized`` uses
+    ``RANDOMIZED_IDENTITY_TRIALS`` points and expands nothing.
     """
-    if method == "exact":
-        lhs, rhs = sides(*factors)
-        return lhs == rhs
-    if method != "randomized":
+    if method not in ("exact", "randomized"):
         raise ValueError(f"unknown identity method {method!r} (expected 'exact' or 'randomized')")
     k = factors[0].vars.k
-    for t in range(RANDOMIZED_IDENTITY_TRIALS):
+    trials = 1 if method == "exact" else RANDOMIZED_IDENTITY_TRIALS
+    for t in range(trials):
         values, ring = trial_values(factors, sample_point(seed, t, k, degree))
         lhs, rhs = sides(*values)
         if not ring.is_zero(lhs - rhs):
             return False
-    return True
+    if method == "randomized":
+        return True
+    lhs, rhs = sides(*factors)
+    return lhs == rhs
 
 
 def ratio_independent_of(f: Polynomial, i: str, j: str, m: str, method: str = "exact", seed: int = 0) -> bool:
@@ -158,7 +164,7 @@ def ratio_separated(f: Polynomial, i: str, j: str, method: str = "exact", seed: 
 
 
 def _separation_sides(g, g_ij, g_i, g_j, h, h_ij, h_i, h_j):
-    return (g * g_ij - g_i * g_j) * h * h, (h * h_ij - h_i * h_j) * g * g
+    return (g * g_ij - g_i * g_j) * (h * h), (h * h_ij - h_i * h_j) * (g * g)
 
 
 def is_special(

@@ -185,18 +185,23 @@ def test_modular_identities_match_rational_reference(corpus, monkeypatch):
     rng = random.Random(2606)
     for case in range(8):
         f = IDENTITY_CORPORA[corpus](rng)
-        modular = is_special(f, method="randomized", seed=case)
-        with monkeypatch.context() as patched:
-            patched.setattr(special_module, "trial_values", _rational_trial_values)
-            reference = is_special(f, method="randomized", seed=case)
-        assert modular.pair_checks == reference.pair_checks
-        assert modular.to_json_dict() == reference.to_json_dict()
+        for method in ("exact", "randomized"):
+            modular = is_special(f, method=method, seed=case)
+            with monkeypatch.context() as patched:
+                patched.setattr(special_module, "trial_values", _rational_trial_values)
+                reference = is_special(f, method=method, seed=case)
+            assert modular.pair_checks == reference.pair_checks
+            assert modular.to_json_dict() == reference.to_json_dict()
+
+
+def _prime_denominator_special():
+    """(x1 + x2/PRIME + x3)^2: special, with partials of denominator PRIME."""
+    inner = P("x1 + x3") + Polynomial(V3, {(0, 1, 0): Fraction(1, PRIME)})
+    return inner * inner
 
 
 def test_prime_denominator_identities_take_the_rational_path():
-    # (x1 + x2/PRIME + x3)^2 is special; its partials have denominator PRIME
-    inner = P("x1 + x3") + Polynomial(V3, {(0, 1, 0): Fraction(1, PRIME)})
-    f = inner * inner
+    f = _prime_denominator_special()
     assert is_special(f, method="randomized").to_json_dict() == is_special(f, method="exact").to_json_dict()
     assert is_special(f, method="randomized").verdict == "special"
     g = f + P("x1*x2^2")
@@ -217,3 +222,57 @@ def test_randomized_identities_evaluate_modulo_prime(monkeypatch):
         is_special(IDENTITY_CORPORA["special"](rng), method="randomized", seed=case)
         is_special(IDENTITY_CORPORA["dense"](rng), method="randomized", seed=case)
     assert moduli and set(moduli) == {PRIME}
+
+
+def _expanded_identity_holds(factors, sides, degree, method, seed):
+    """Reference rule for exact identities: expand both sides, compare."""
+    lhs, rhs = sides(*factors)
+    return lhs == rhs
+
+
+def _exact_differential_inputs():
+    rng = random.Random(2608)
+    for corpus in sorted(IDENTITY_CORPORA):
+        for case in range(6):
+            yield f"{corpus}-{case}", IDENTITY_CORPORA[corpus](rng), case
+    f = _prime_denominator_special()
+    yield "prime-denominator", f, 0
+    yield "prime-denominator-perturbed", f + P("x1*x2^2"), 0
+    yield "power-12-perturbed", P("(x1+2*x2+x3)^12 + x1*x2^2"), 0
+
+
+def test_exact_identities_match_expanded_reference(monkeypatch):
+    # a residue mismatch proves the sides differ, so refuting mod PRIME
+    # before expanding must leave every exact verdict unchanged
+    for label, f, seed in _exact_differential_inputs():
+        verdict = is_special(f, method="exact", seed=seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(special_module, "_identity_holds", _expanded_identity_holds)
+            reference = is_special(f, method="exact", seed=seed)
+        assert verdict.pair_checks == reference.pair_checks, label
+        assert verdict.to_json_dict() == reference.to_json_dict(), label
+
+
+def test_exact_mode_expands_only_identities_that_hold(monkeypatch):
+    expanded = []
+
+    def counting(sides):
+        def wrapper(*factors):
+            if isinstance(factors[0], Polynomial):
+                expanded.append(sides.__name__)
+            return sides(*factors)
+        return wrapper
+
+    monkeypatch.setattr(special_module, "_independence_sides", counting(special_module._independence_sides))
+    monkeypatch.setattr(special_module, "_separation_sides", counting(special_module._separation_sides))
+    held_total = refuted = 0
+    for text in ("x1*x2 + x3", "x1*x2 + x3*x2^2", "(x1+2*x2+x3)^12 + x1*x2^2"):
+        expanded.clear()
+        verdict = is_special(P(text), method="exact")
+        assert verdict.verdict == "not_special"
+        # k = 3: each pair has one independence and one separation identity
+        held = sum(c.independence_ok + c.separation_ok for c in verdict.pair_checks.values())
+        assert len(expanded) == held, text
+        held_total += held
+        refuted += 2 * len(verdict.pair_checks) - held
+    assert held_total > 0 and refuted > 0
