@@ -10,6 +10,7 @@ exhausted budgets), and 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -192,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--method", choices=("exact", "randomized"), default="randomized")
     p_rank.add_argument("--trials", type=_positive_int, default=5)
     p_rank.add_argument("--seed", type=int, default=0)
-    p_rank.set_defaults(func=_cmd_rank)
 
     p_special = sub.add_parser("special", help="rank-1 special-form verdict")
     add_poly_args(p_special)
@@ -204,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_special.add_argument("--trials", type=_positive_int, default=5, help="rank-engine trials")
     p_special.add_argument("--seed", type=int, default=0)
-    p_special.set_defaults(func=_cmd_special)
 
     p_reduce = sub.add_parser("reduce", help="rank-preserving variable reduction")
     add_poly_args(p_reduce)
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sets",
         help="draw fixed values from these sets: 'kind:n' or explicit 'a,b|c,d|...'",
     )
-    p_reduce.set_defaults(func=_cmd_reduce)
 
     p_expand = sub.add_parser("expand", help="exact image sizes and fitted growth exponent")
     add_poly_args(p_expand, required=False)
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--output", choices=("json", "csv"), default="json")
     p_expand.add_argument("--degenerate", type=int, default=None, metavar="K",
                           help="run the many-variables collapse demo with K extra variables")
-    p_expand.set_defaults(func=_cmd_expand)
 
     p_inc = sub.add_parser("incidence", help="surface-set split and incidence counts")
     add_poly_args(p_inc)
@@ -238,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inc.add_argument("--seed", type=int, default=0)
     p_inc.add_argument("--budget", type=_positive_int, default=None)
     p_inc.add_argument("--eps", type=_epsilon, default=0.1)
-    p_inc.set_defaults(func=_cmd_incidence)
 
     p_moment = sub.add_parser("moment", help="moment-curve simplex volumes")
     p_moment.add_argument("--d", type=_positive_int, required=True, help="ambient dimension")
@@ -248,19 +244,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_moment.add_argument("--seed", type=int, default=0)
     p_moment.add_argument("--signed", action="store_true", help="count both orientations")
     p_moment.add_argument("--summary", action="store_true", help="verify the symbolic identities")
-    p_moment.set_defaults(func=_cmd_moment)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: building it
+    costs more than parsing most command lines."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # looked up at each call, so that a replaced handler is the one called
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:
         print(f"polyrank: error: {exc}", file=sys.stderr)
         return 1

@@ -34,10 +34,13 @@ by D once at the end (:func:`_over`): the package's one int/Fraction
 boundary, which the image sweep and the moment-curve volume count use too.
 
 Exact division (:func:`exact_div`, the inner step of fraction-free
-elimination) packs each monomial into one integer, total degree in the top
-field and then x1 ... xk, so that integer order is graded-lex order.  The
-remainder's leading term comes off a lazy max-heap of packed keys instead
-of a rescan of the whole remainder, and a guard bit per field decides
+elimination) also has two kernels.  Dense operands are packed the same way
+and divided with one big-integer ``divmod``, behind a cost gate
+(``_DIV_GATE``, the module's one tuned constant) because CPython divides
+big integers in quadratic time.  Other divisions pack each monomial into
+one integer, total degree in the top field and then x1 ... xk, so that
+integer order is graded-lex order; the remainder's leading term comes off a
+lazy max-heap of packed keys, and a guard bit per field decides
 divisibility by the divisor's leading term with one subtraction.
 """
 
@@ -51,8 +54,8 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product as _cartesian
-from math import lcm
-from operator import add as _add, mul as _mul
+from math import gcd, lcm
+from operator import add as _add, gt, mul as _mul
 from typing import Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -215,6 +218,22 @@ def _mul_sparse(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Expone
 _WORD_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
+def _slot_width(bound: int) -> int:
+    """Bytes per Kronecker slot with ``bound < 2^(8*width - 1)``, rounded up
+    to a machine word when one fits, so that array() moves the slots in C."""
+    width = bound.bit_length() // 8 + 1
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _box(degrees: Iterable[int]) -> tuple[list[int], list[int], int]:
+    """``(radices, strides, slots)`` of the box of exponents up to ``degrees``."""
+    radices = [d + 1 for d in degrees]
+    strides = [1] * len(radices)
+    for i in range(len(radices) - 1, 0, -1):
+        strides[i - 1] = strides[i] * radices[i]
+    return radices, strides, strides[0] * radices[0]
+
+
 def _mul_dense(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponents, int]:
     """Product term map by Kronecker substitution (integer coefficients).
 
@@ -223,30 +242,62 @@ def _mul_dense(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponen
     variable varies fastest, as in ``itertools.product``); since the
     product's exponents stay below the radices, adding slot indices adds
     exponent vectors without carries.  Each operand becomes one integer
-    with ``width`` bytes per slot, its positive and negative coefficients
-    written into two byte buffers and subtracted, and one big-integer
-    product, which CPython computes by Karatsuba, holds every coefficient
-    of the result.  A product coefficient sums at most ``min(|a|, |b|)``
-    term pairs, so it is at most ``bound = min(|a|, |b|) * max|a_c| *
-    max|b_c|`` in absolute value, and ``width`` leaves room for a sign bit
-    above that.  Adding ``2^(8*width - 1)`` to every slot makes every slot
-    nonnegative, which undoes the borrows negative slots took from the next
-    one; the slots are then read back from the bytes and the bias taken off.
+    with ``width`` bytes per slot (:func:`_kronecker_pack`), and one
+    big-integer product, which CPython computes by Karatsuba, holds every
+    coefficient of the result.  A product coefficient sums at most
+    ``min(|a|, |b|)`` term pairs, so it is at most ``bound = min(|a|, |b|)
+    * max|a_c| * max|b_c|`` in absolute value, and ``width`` leaves room
+    for a sign bit above that (:func:`_kronecker_unpack` reads it back).
     """
     a_deg = list(map(max, zip(*a)))
     b_deg = list(map(max, zip(*b)))
-    radices = [da + db + 1 for da, db in zip(a_deg, b_deg)]
-    strides = [1] * len(radices)
-    for i in range(len(radices) - 1, 0, -1):
-        strides[i - 1] = strides[i] * radices[i]
-    slots = strides[0] * radices[0]
+    radices, strides, slots = _box(map(_add, a_deg, b_deg))
     bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    width = bound.bit_length() // 8 + 1
-    if width <= 8:
-        # a machine word per slot, so that array() reads the slots in C
-        width = 1 << (width - 1).bit_length()
-    bias = 1 << (8 * width - 1)
+    width = _slot_width(bound)
     packed = _kronecker_pack(a, a_deg, strides, width) * _kronecker_pack(b, b_deg, strides, width)
+    return _kronecker_unpack(packed, radices, slots, width)
+
+
+def _kronecker_pack(
+    terms: dict[Exponents, int], degrees: list[int], strides: list[int], width: int
+) -> int:
+    """One integer holding ``terms``, ``width`` bytes per slot (see
+    _mul_dense): the buffers of positive and of negated negative
+    coefficients, read as integers, subtracted."""
+    size = sum(map(_mul, degrees, strides)) + 1
+    code = _WORD_TYPECODES.get(width)
+    if code is None:
+        positive = bytearray(size * width)
+        negative = bytearray(size * width)
+        for m, c in terms.items():
+            i = sum(map(_mul, m, strides)) * width
+            if c > 0:
+                positive[i:i + width] = c.to_bytes(width, "little")
+            else:
+                negative[i:i + width] = (-c).to_bytes(width, "little")
+    else:
+        positive = array(code, [0]) * size
+        negative = array(code, [0]) * size
+        for m, c in terms.items():
+            if c > 0:
+                positive[sum(map(_mul, m, strides))] = c
+            else:
+                negative[sum(map(_mul, m, strides))] = -c
+        if sys.byteorder == "big":
+            positive.byteswap()
+            negative.byteswap()
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _kronecker_unpack(
+    packed: int, radices: list[int], slots: int, width: int
+) -> dict[Exponents, int]:
+    """The term map in the box of ``radices``, coefficients in
+    ``[-2^(8*width - 1), 2^(8*width - 1))``, whose packing is ``packed``;
+    OverflowError if there is none.  A bias of ``2^(8*width - 1)`` on every
+    slot undoes the borrows of negative slots; the slots are read back
+    from the bytes and the bias taken off."""
+    bias = 1 << (8 * width - 1)
     packed += int.from_bytes(bias.to_bytes(width, "little") * slots, "little")
     data = packed.to_bytes(slots * width, "little")
     values: Sequence[int]
@@ -261,22 +312,6 @@ def _mul_dense(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponen
         for m, c in zip(_cartesian(*map(range, radices)), values)
         if c != bias
     }
-
-
-def _kronecker_pack(
-    terms: dict[Exponents, int], degrees: list[int], strides: list[int], width: int
-) -> int:
-    """One integer holding ``terms``, ``width`` bytes per slot (see _mul_dense)."""
-    size = (sum(map(_mul, degrees, strides)) + 1) * width
-    positive = bytearray(size)
-    negative = bytearray(size)
-    for m, c in terms.items():
-        i = sum(map(_mul, m, strides)) * width
-        if c > 0:
-            positive[i:i + width] = c.to_bytes(width, "little")
-        else:
-            negative[i:i + width] = (-c).to_bytes(width, "little")
-    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
 class Polynomial:
@@ -397,10 +432,12 @@ class Polynomial:
         out = dict(self._terms)
         for m, c in q._terms.items():
             s = out.get(m, 0) + c
-            if s:
+            if not s:
+                del out[m]
+            elif s.__class__ is int or s.denominator != 1:
                 out[m] = s
             else:
-                out.pop(m, None)
+                out[m] = s.numerator
         return Polynomial._raw(self.vars, out)
 
     __radd__ = __add__
@@ -412,13 +449,26 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self + (-q)
+        return self._minus(q)
 
     def __rsub__(self, other: object) -> "Polynomial":
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return q + (-self)
+        return q._minus(self)
+
+    def _minus(self, q: "Polynomial") -> "Polynomial":
+        """``self - q`` without building ``-q`` (the loop of __add__)."""
+        out = dict(self._terms)
+        for m, c in q._terms.items():
+            s = out.get(m, 0) - c
+            if not s:
+                del out[m]
+            elif s.__class__ is int or s.denominator != 1:
+                out[m] = s
+            else:
+                out[m] = s.numerator
+        return Polynomial._raw(self.vars, out)
 
     def __mul__(self, other: object) -> "Polynomial":
         """Product of two polynomials, by one of two exact kernels.
@@ -624,8 +674,93 @@ def embed(p: Polynomial, target: VarSet) -> Polynomial:
     return Polynomial._raw(target, out)
 
 
+#: Kronecker division runs only when ``(slots - span) * span * width^2 <=
+#: _DIV_GATE * |p| * |d|``: CPython's schoolbook division of a ``slots``-slot
+#: dividend by a ``span``-slot divisor, ``width`` bytes a slot, against the
+#: heap's term pairs.  Calibrated on 2 cores, Python 3.11.7, on the 168
+#: divisions of exact rank of dense k = 3..5 polynomials with 2- to 200-bit
+#: coefficients: up to 400 the kernel was faster on 99 of 100 (median 2.6x,
+#: |p| <= 3,843), from 400 to 1,024 on 39 of 44 (median 1.17x), above that
+#: on 1 of 24, and at 783 it took 1.8x the heap's time on a |p| = 91,313 step.
+_DIV_GATE = 400
+
+
 def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
     """Exact polynomial quotient ``p / divisor``; raises if not divisible.
+
+    Dense operands that pass ``_DIV_GATE`` take one ``divmod`` of their
+    Kronecker packings (:func:`_div_dense`); other divisions, and quotients
+    the packing cannot prove, take leading-term division
+    (:func:`_div_heap`).  Both give the same canonical quotient.
+    """
+    if divisor.vars != p.vars:
+        raise ValueError("operands must share a variable set")
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if p.is_zero:
+        return p
+    quotient = _div_dense(p._terms, divisor._terms)
+    if quotient is None:
+        quotient = _div_heap(p._terms, divisor._terms)
+    return Polynomial._raw(p.vars, quotient)
+
+
+def _div_dense(
+    p: dict[Exponents, Scalar], divisor: dict[Exponents, Scalar]
+) -> dict[Exponents, Scalar] | None:
+    """Quotient term map by Kronecker substitution, or None for the heap.
+
+    The operands are cleared to integers P and D (:func:`_integral`), D is
+    divided by its content c to a primitive D0, and both are packed over
+    the box of P with slots wide enough for ``|D0| * max|P|``.
+    Packing is a ring homomorphism and, by Gauss's lemma, D0 divides P in
+    Q[x] exactly when it does in Z[x], so a nonzero remainder of the
+    ``divmod`` proves the division inexact.  The unpacked quotient q is
+    kept only when ``deg_i(q) + deg_i(D0) <= deg_i(P)`` and ``min(|q|,
+    |D0|) * max|q| * max|D0|`` is below half a slot: then q * D0 and P lie
+    in the box with equal packings, and balanced digits are unique, so q *
+    D0 = P.  The quotient is q * d_scale / (p_scale * c).
+    """
+    a, a_scale = _integral(p)
+    b, b_scale = _integral(divisor)
+    if not _is_dense(a, b):
+        return None
+    a_deg = list(map(max, zip(*a)))
+    b_deg = list(map(max, zip(*b)))
+    if any(map(gt, b_deg, a_deg)):
+        return None
+    content = gcd(*b.values())
+    if content != 1:
+        b = {m: c // content for m, c in b.items()}
+    b_max = max(map(abs, b.values()))
+    width = _slot_width(len(b) * max(map(abs, a.values())))
+    radices, strides, slots = _box(a_deg)
+    span = sum(map(_mul, b_deg, strides)) + 1
+    if (slots - span) * span * width * width > _DIV_GATE * len(a) * len(b):
+        return None
+    packed, remainder = divmod(_kronecker_pack(a, a_deg, strides, width),
+                               _kronecker_pack(b, b_deg, strides, width))
+    if remainder:
+        raise ValueError("inexact polynomial division")
+    try:
+        quotient = _kronecker_unpack(packed, radices, slots, width)
+    except OverflowError:
+        return None
+    bound = min(len(quotient), len(b)) * max(map(abs, quotient.values())) * b_max
+    q_deg = map(max, zip(*quotient))
+    if bound.bit_length() >= 8 * width or any(map(gt, map(_add, q_deg, b_deg), a_deg)):
+        return None
+    scale = a_scale * content
+    if scale != 1 or b_scale != 1:
+        for m, c in quotient.items():
+            quotient[m] = _over(c * b_scale, scale)
+    return quotient  # type: ignore[return-value]
+
+
+def _div_heap(
+    p: dict[Exponents, Scalar], divisor: dict[Exponents, Scalar]
+) -> dict[Exponents, Scalar]:
+    """Quotient term map by leading-term division; raises if not divisible.
 
     Leading-term division under the graded-lex order: whenever p is a true
     multiple of the divisor the leading term of the remainder stays divisible,
@@ -648,16 +783,10 @@ def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
     division inexact.  That stops ``x1^n / (2*x1 + 3)`` at its first step
     instead of after n quotient terms.
     """
-    if divisor.vars != p.vars:
-        raise ValueError("operands must share a variable set")
-    if divisor.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero:
-        return p
-    k = p.vars.k
+    k = len(next(iter(p)))
     # Every remainder term has total degree <= deg(p), and so has every
     # exponent; the divisor gets its own bound so that its keys fit too.
-    deg = max(p.total_degree(), divisor.total_degree())
+    deg = max(max(map(sum, p)), max(map(sum, divisor)))
     width = deg.bit_length() + 1
     shifts = [width * (k - 1 - i) for i in range(k)]
     # each exponent counts once in its own field and once in the degree field
@@ -667,11 +796,11 @@ def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
     def pack(m: Exponents) -> int:
         return sum(map(_mul, m, weights))
 
-    div_items = sorted(((pack(m), c) for m, c in divisor.terms.items()), reverse=True)
+    div_items = sorted(((pack(m), c) for m, c in divisor.items()), reverse=True)
     kd, cd = div_items[0]
     tail = div_items[1:]
     int_lead = type(cd) is int
-    rem = {pack(m): c for m, c in p.terms.items()}
+    rem = {pack(m): c for m, c in p.items()}
     least = min(rem) - div_items[-1][0]
     heap = [-key for key in rem]
     heapify(heap)
@@ -705,9 +834,7 @@ def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
                 else:
                     del rem[key]
     mask = (1 << (width - 1)) - 1
-    return Polynomial._raw(
-        p.vars, {tuple((kq >> s) & mask for s in shifts): cq for kq, cq in quotient}
-    )
+    return {tuple((kq >> s) & mask for s in shifts): cq for kq, cq in quotient}
 
 
 def product(vars: VarSet, factors: Iterable[Polynomial]) -> Polynomial:

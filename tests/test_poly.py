@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +20,7 @@ from polyrank import (
 )
 from polyrank import poly
 from polyrank.poly import _as_scalar, _ratio, grlex_key
-from gens import sparse_random_polynomial, var_set
+from gens import canonical_types, sparse_random_polynomial, var_set
 
 V3 = var_set(3)
 
@@ -302,6 +303,109 @@ def test_exact_div_rejects_higher_degree_divisor(case):
         exact_div(p, Polynomial.zero(p.vars))
 
 
+@st.composite
+def dense_division_cases(draw):
+    """(p, d) over k = 2..4 with 6-20 terms each and exponents 0..3, so that
+    p * d is dense enough for the Kronecker division kernel; d is scaled by
+    a non-unit so that it is not primitive and its leading term is
+    negative."""
+    k = draw(st.integers(2, 4))
+    vars = var_set(k)
+    exponents = st.tuples(*[st.integers(0, 3)] * k)
+
+    def operand():
+        return Polynomial(vars, draw(st.dictionaries(exponents, coefficients, min_size=6, max_size=20)))
+
+    p, d = operand(), operand()
+    scale = draw(st.one_of(st.integers(2, 6), st.fractions(min_value=2, max_value=9, max_denominator=5)))
+    _, lead = d.leading_term()
+    return p, d * (-scale if lead > 0 else scale)
+
+
+@settings(deadline=None, max_examples=150)
+@given(dense_division_cases())
+def test_dense_exact_div_matches_reference(case):
+    p, d = case
+    n = p * d
+    expected = _typed(_reference_exact_div(n, d))
+    assert _typed(exact_div(n, d).terms) == expected
+    # with the gate lifted, the kernel runs on every dense case
+    with mock.patch.object(poly, "_DIV_GATE", 10**9):
+        quotient = poly._div_dense(n.terms, d.terms)
+    assert quotient is None or _typed(quotient) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(dense_division_cases(), st.data())
+def test_dense_div_rejects_by_the_remainder(case, data):
+    # a monomial inside the box of p * d added to it: d (of two or more
+    # terms) divides no monomial, and the kernel's divmod leaves a remainder
+    p, d = case
+    n = p * d
+    m = tuple(data.draw(st.integers(0, e)) for e in map(max, zip(*n.terms)))
+    n = n + Polynomial(n.vars, {m: 1 if n.terms.get(m) != -1 else 2})
+    assume(poly._is_dense(n.terms, d.terms))
+    with mock.patch.object(poly, "_DIV_GATE", 10**9), pytest.raises(ValueError, match="inexact"):
+        poly._div_dense(n.terms, d.terms)
+    with pytest.raises(ValueError, match="inexact"):
+        exact_div(n, d)
+
+
+def test_dense_div_zero_remainder_proves_nothing(monkeypatch):
+    # P(256) = 63*(1 - 256 + 256^2 - 256^3) + 5*256^4 is a multiple of
+    # 257, the packing of x1 + 1 in 1-byte slots, but P(-1) = 257 != 0:
+    # the unpacked quotient fails the slot bound and the heap rejects
+    V1 = var_set(1)
+    p, d = P("63 - 63*x1 + 63*x1^2 - 63*x1^3 + 5*x1^4", V1), P("x1 + 1", V1)
+    monkeypatch.setattr(poly, "_is_dense", lambda a, b: True)
+    assert poly._slot_width(len(d.terms) * 63) == 1
+    assert poly._div_dense(p.terms, d.terms) is None
+    with pytest.raises(ValueError, match="inexact"):
+        exact_div(p, d)
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 65, 128])
+def test_div_coefficients_at_the_slot_bound(bits):
+    # (1 + x1 + x1^2 + x1^3) * (c + x1 + x1^2 + x1^3) has largest
+    # coefficient c + 3, so the slot width is sized from |D0| * max|P| =
+    # 4(c + 3), which has `bits` bits; the quotient is accepted when the
+    # bound 4c on the coefficients of q * D0 fits the same slots
+    c = (2**bits - 1) // 4 - 3
+    assert (4 * (c + 3)).bit_length() == bits
+    q, d0 = P("1 + x1 + x1^2 + x1^3"), P(f"{c} + x1 + x1^2 + x1^3")
+    for sign in (1, -1):
+        n = sign * q * d0
+        for d in (d0, -3 * d0):
+            assert poly._is_dense(n.terms, d.terms)
+            expected = _typed(_reference_exact_div(n, d))
+            assert _typed(poly._div_dense(n.terms, d.terms)) == expected
+            assert _typed(exact_div(n, d).terms) == expected
+
+
+def test_div_kernel_follows_gate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the other division kernel was expected")
+
+    V1 = var_set(1)
+    V2 = var_set(2)
+    dense_quotient, dense_divisor = P("(x1 + x2 + 1)^3", V2), P("(x1 - 2*x2 + 3)^2", V2)
+    sparse = (P(f"x1^{2**16}", V1), P("2*x1 + 3", V1))
+    # 200-bit coefficients: slots of 51 bytes make the schoolbook divmod
+    # dearer than the heap's term pairs
+    c = 2**200 + 1
+    wide_quotient = P(" + ".join(f"{c + i}*x1^{i}" for i in range(12)), V1)
+    wide_divisor = P(" + ".join(f"{c - i}*x1^{i}" for i in range(6)), V1)
+    wide = wide_quotient * wide_divisor
+    assert poly._is_dense(wide.terms, wide_divisor.terms)
+    monkeypatch.setattr(poly, "_div_heap", refuse)
+    assert exact_div(dense_quotient * dense_divisor, dense_divisor) == dense_quotient
+    monkeypatch.undo()
+    monkeypatch.setattr(poly, "_kronecker_pack", refuse)
+    with pytest.raises(ValueError, match="inexact"):
+        exact_div(*sparse)
+    assert exact_div(wide, wide_divisor) == wide_quotient
+
+
 # sympy's polynomials are dense, so this oracle gets small exponents only.
 @settings(deadline=None, max_examples=60)
 @given(division_cases(max_exponent=6))
@@ -505,6 +609,18 @@ def test_modular_eval_is_the_residue_of_eval(p, point, modulus):
     value = p.eval(point, modulus=modulus)
     assert type(value) is int and 0 <= value < modulus
     assert value == residue(p.eval(point))
+
+
+@settings(deadline=None)
+@given(st.one_of(polys, rational_polys), st.one_of(polys, rational_polys))
+def test_subtraction_is_adding_the_negation(p, q):
+    for a, b in ((p, q), (q, p)):
+        diff = a - b
+        assert _typed(diff.terms) == _typed((a + (-b)).terms)
+        assert canonical_types(diff.terms.values())
+    assert (p - p).terms == {}
+    assert ((p + q) - q).terms == p.terms
+    assert _typed((1 - p).terms) == _typed((Polynomial.constant(p.vars, 1) + (-p)).terms)
 
 
 @settings(deadline=None)

@@ -22,6 +22,7 @@ from polyrank import (
     rank_in,
     select_independent_columns,
 )
+from polyrank import poly
 from polyrank.rank import (
     MOD_PRIME,
     PRIME,
@@ -492,6 +493,45 @@ def test_modular_rank_matches_rational_reference(corpus):
             jac = jacobian(coefficient_map(f, v))
             assert _randomized_rank(jac, 5, case) == _rational_randomized_rank(jac, 5, case)
         assert rank(f, seed=case).to_json_dict() == _rational_rank_json(f, 5, case)
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_division_kernel_leaves_elimination_unchanged(corpus, monkeypatch):
+    # exact ranks, witnesses and determinants with both division kernels
+    # against the heap routine alone
+    rng = random.Random(2610)
+    matrices = []
+    for case in range(12):
+        vars = var_set(3 + case % 2)
+        f = CORPORA[corpus](rng, vars)
+        matrices += [jacobian(coefficient_map(f, v)) for v in vars.names]
+        matrices.append(PolyMatrix(V3, [[CORPORA[corpus](rng, V3) for _ in range(3)] for _ in range(3)]))
+
+    def results():
+        out = []
+        for m in matrices:
+            n = min(m.rows, m.cols)
+            out.append((generic_rank_exact(m), m.submatrix(range(n), range(n)).determinant().terms))
+        return out
+
+    kernel_quotients = []
+    div_dense = poly._div_dense
+
+    def counted(p, d):
+        quotient = div_dense(p, d)
+        kernel_quotients.append(quotient is not None)
+        return quotient
+
+    monkeypatch.setattr(poly, "_div_dense", counted)
+    both = results()
+    monkeypatch.setattr(poly, "_div_dense", lambda p, d: None)
+    heap = results()
+    for (rank_both, det_both), (rank_heap, det_heap) in zip(both, heap):
+        assert rank_both == rank_heap
+        assert det_both == det_heap
+        assert [type(det_both[m]) for m in det_heap] == [type(c) for c in det_heap.values()]
+    if corpus == "dense":
+        assert sum(kernel_quotients) >= 20
 
 
 def test_prime_denominator_takes_the_rational_path():
