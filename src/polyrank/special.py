@@ -19,17 +19,24 @@ after clearing denominators:
 
   where subscripts denote further partials in x_i and x_j.
 
-Both identities go through one checker, which takes the partials as
-factors and a function building the two sides from them.  It applies the
-function to the factors' values at seeded random integer points,
-comparing residues modulo the prime 2^61 - 1 (exact rationals when the
-prime divides a coefficient's denominator).  A mismatch of residues proves
-the sides differ (Schwartz-Zippel).  The default ``exact`` mode evaluates
-at one point and expands the products symbolically only for identities
-that survive it, so a false identity is refuted without expansion and a
-true one is still proved by comparing the expanded sides.  For large
-inputs a ``randomized`` mode skips the expansion and evaluates at 20
-points; a match everywhere is the probabilistic verdict "identical".
+``is_special`` decides them in this order:
+
+1. The randomized rank report gives rank_m(f) for each pivot x_m.
+2. Each pivot it puts at rank <= 1 gets an exact test that the Jacobian
+   J_m of the coefficient map in x_m has rank <= 1 (a randomized rank of
+   2 or more is already proved).  These ranks certify identities:
+   rank J_m <= 1 makes f_i = Lambda(x_m, ...) * u_i for every i != m, so
+   f_i / f_j = u_i / u_j is free of x_m; rank J_i, rank J_j <= 1 make
+   f_i / f_j = (f_i / f_m) / (f_j / f_m) an x_j-free part over an x_i-free
+   part, so its mixed logarithmic derivative vanishes.
+3. Each identity left is evaluated at seeded random integer points,
+   comparing residues modulo the prime 2^61 - 1 (exact rationals when the
+   prime divides a coefficient's denominator); a mismatch proves the
+   sides differ (Schwartz-Zippel).  The default ``exact`` mode uses one
+   point, a ``randomized`` mode 20, and a match everywhere is then the
+   probabilistic verdict "identical".
+4. In ``exact`` mode the identities that survive are expanded
+   symbolically and their sides compared.
 
 No attempt is made to recover the composition (h, p_1, ..., p_k) or to
 distinguish the additive from the multiplicative shape; the verdict only
@@ -43,7 +50,7 @@ from itertools import combinations
 from typing import Callable
 
 from .poly import Polynomial
-from .rank import rank, sample_point, trial_values
+from .rank import coefficient_map, jacobian, rank, sample_point, trial_values
 
 #: Trials used by the randomized identity mode.
 RANDOMIZED_IDENTITY_TRIALS = 20
@@ -167,6 +174,28 @@ def _separation_sides(g, g_ij, g_i, g_j, h, h_ij, h_i, h_j):
     return (g * g_ij - g_i * g_j) * (h * h), (h * h_ij - h_i * h_j) * (g * g)
 
 
+def _rank_at_most_one(f: Polynomial, m: str) -> bool:
+    """Is the exact rank of f's coefficient-map Jacobian in pivot ``m`` at
+    most 1?
+
+    Every 2x2 minor through the first nonzero entry must vanish; the test
+    multiplies and never divides.  Entries before that one, in row-major
+    order, are zero, so only the rows below it can break the rank.
+    """
+    rows = jacobian(coefficient_map(f, m)).entries
+    pivot = next(((r, c) for r, row in enumerate(rows) for c, p in enumerate(row) if not p.is_zero), None)
+    if pivot is None:
+        return True
+    pr, pc = pivot
+    top, lead = rows[pr], rows[pr][pc]
+    return all(
+        lead * row[c] == top[c] * row[pc]
+        for row in rows[pr + 1:]
+        for c in range(len(row))
+        if c != pc
+    )
+
+
 def is_special(
     f: Polynomial,
     method: str = "exact",
@@ -177,9 +206,13 @@ def is_special(
 
     ``special`` requires rank(f) == 1, dependence on every variable, and
     every pairwise independence/separation identity to hold; the rank
-    comes from the randomized engine with ``trials`` trials.  For inputs
-    depending on all variables the identity checks agree with rank(f) == 1,
-    so a disagreement would indicate a bug rather than a boundary case.
+    comes from the randomized engine with ``trials`` trials and is taken
+    first.  Pivots it puts at rank <= 1 get the exact rank <= 1 test, whose
+    passes certify identities; the identities left are refuted modulo a
+    prime and, in ``exact`` mode, expanded if they survive (see the module
+    docstring).  For inputs depending on all variables the identity checks
+    agree with rank(f) == 1, so a disagreement would indicate a bug rather
+    than a boundary case.
     """
     if f.vars.k < 3:
         raise ValueError("special-form detection needs at least 3 variables")
@@ -189,18 +222,20 @@ def is_special(
             rank1=False, depends_on_all=False, pair_checks={}, verdict="degenerate"
         )
     names = f.vars.names
+    report = rank(f, method="randomized", trials=trials, seed=seed)
+    low = {m for m in names if report.per_variable[m] <= 1 and _rank_at_most_one(f, m)}
     checks: dict[tuple[str, str], PairCheck] = {}
     all_ok = True
     for i, j in combinations(names, 2):
         indep = all(
-            ratio_independent_of(f, i, j, m, method=method, seed=seed)
+            m in low or ratio_independent_of(f, i, j, m, method=method, seed=seed)
             for m in names
             if m not in (i, j)
         )
-        sep = ratio_separated(f, i, j, method=method, seed=seed)
+        sep = (i in low and j in low) or ratio_separated(f, i, j, method=method, seed=seed)
         checks[(i, j)] = PairCheck(independence_ok=indep, separation_ok=sep)
         all_ok = all_ok and indep and sep
-    rank1 = rank(f, method="randomized", trials=trials, seed=seed).overall == 1
+    rank1 = report.overall == 1
     verdict = "special" if (rank1 and all_ok) else "not_special"
     return SpecialFormVerdict(
         rank1=rank1, depends_on_all=True, pair_checks=checks, verdict=verdict

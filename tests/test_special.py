@@ -1,5 +1,6 @@
 """Special-form detection via derivative identities."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,10 +8,13 @@ import pytest
 
 from polyrank import (
     Polynomial,
+    coefficient_map,
     depends_on_all,
     is_special,
+    jacobian,
     parse,
     rank,
+    rank_in,
     ratio_independent_of,
     ratio_separated,
 )
@@ -253,7 +257,9 @@ def test_exact_identities_match_expanded_reference(monkeypatch):
         assert verdict.to_json_dict() == reference.to_json_dict(), label
 
 
-def test_exact_mode_expands_only_identities_that_hold(monkeypatch):
+def _count_expansions(monkeypatch):
+    """Patch both identity builders to record each symbolic expansion (a
+    call on polynomials, not on values at a point); returns the record."""
     expanded = []
 
     def counting(sides):
@@ -265,14 +271,76 @@ def test_exact_mode_expands_only_identities_that_hold(monkeypatch):
 
     monkeypatch.setattr(special_module, "_independence_sides", counting(special_module._independence_sides))
     monkeypatch.setattr(special_module, "_separation_sides", counting(special_module._separation_sides))
+    return expanded
+
+
+def test_exact_mode_expands_only_identities_that_hold(monkeypatch):
+    # ... and that the exact ranks do not certify: rank_m <= 1 certifies
+    # independence through x_m, rank_i, rank_j <= 1 certify separation
+    expanded = _count_expansions(monkeypatch)
     held_total = refuted = 0
     for text in ("x1*x2 + x3", "x1*x2 + x3*x2^2", "(x1+2*x2+x3)^12 + x1*x2^2"):
         expanded.clear()
-        verdict = is_special(P(text), method="exact")
+        f = P(text)
+        low = {m for m in f.vars.names if rank_in(f, m, method="exact") <= 1}
+        verdict = is_special(f, method="exact")
         assert verdict.verdict == "not_special"
         # k = 3: each pair has one independence and one separation identity
-        held = sum(c.independence_ok + c.separation_ok for c in verdict.pair_checks.values())
-        assert len(expanded) == held, text
+        held = uncertified = 0
+        for (i, j), c in verdict.pair_checks.items():
+            (m,) = set(f.vars.names) - {i, j}
+            held += c.independence_ok + c.separation_ok
+            uncertified += (c.independence_ok and m not in low) + (c.separation_ok and not {i, j} <= low)
+        assert len(expanded) == uncertified, text
         held_total += held
         refuted += 2 * len(verdict.pair_checks) - held
     assert held_total > 0 and refuted > 0
+
+
+def test_special_input_expands_no_sides(monkeypatch):
+    expanded = _count_expansions(monkeypatch)
+    for text in ("(x1 + x2^2 + x3^3)^3", "x1*x2*x3", "(x1+2*x2+x3)^20"):
+        expanded.clear()
+        assert is_special(P(text), method="exact").verdict == "special"
+        assert expanded == [], text
+
+
+def test_rank_certificate_matches_exact_rank():
+    rng = random.Random(2609)
+    inputs = [IDENTITY_CORPORA[corpus](rng) for corpus in sorted(IDENTITY_CORPORA) for _ in range(10)]
+    # a zero first row (constant alpha_0) before a nonzero one; an all-zero Jacobian
+    inputs += [P("1 + x1*x2*x3"), P("x3")]
+    zero_first_row = zero_first_col = 0
+    for f in inputs:
+        for m in f.vars.names:
+            rows = jacobian(coefficient_map(f, m)).entries
+            zero_first_row += all(p.is_zero for p in rows[0])
+            zero_first_col += all(row[0].is_zero for row in rows)
+            assert special_module._rank_at_most_one(f, m) == (rank_in(f, m, method="exact") <= 1), (str(f), m)
+    assert zero_first_row > 0 and zero_first_col > 0
+
+
+def _criterion_3_specials(count):
+    """The first ``count`` special inputs of acceptance criterion 3."""
+    rng = random.Random(0x5EED)
+    for case in range(count):
+        yield f"criterion-3-{case}", random_special(rng, V3, multiplicative=case % 2 == 0, max_deg=3), case
+
+
+def test_certified_identities_hold_when_expanded(monkeypatch):
+    monkeypatch.setattr(special_module, "_identity_holds", _expanded_identity_holds)
+    certified = 0
+    inputs = itertools.chain(_exact_differential_inputs(), _criterion_3_specials(10))
+    for label, f, _ in inputs:
+        if not depends_on_all(f):
+            continue
+        names = f.vars.names
+        low = {m for m in names if special_module._rank_at_most_one(f, m)}
+        for i, j in itertools.combinations(names, 2):
+            for m in low - {i, j}:
+                assert ratio_independent_of(f, i, j, m), (label, i, j, m)
+                certified += 1
+            if {i, j} <= low:
+                assert ratio_separated(f, i, j), (label, i, j)
+                certified += 1
+    assert certified > 0
