@@ -13,18 +13,21 @@ there: the parent would unpickle and re-insert every worker's set.
 With D_i the lcm of the denominators in A_i and c that of the
 coefficients, the sweep enumerates the integer grid
 D_1*A_1 x ... x D_k*A_k under F(y) = D * f(y_1/D_1, ..., y_k/D_k), where
-D = c * prod D_i^deg_i(f) makes every coefficient of F an integer, and
-divides each distinct value by D once at the end.  The innermost variable
-is the one of lowest degree in f, then in the fewest terms, then of lowest
-index; a variable f does not contain drops out.  The outer prefixes are
-substituted into the sparse term map, the last outer variable column-wise,
-and a residual met before at the same depth is skipped.  Each residual in
-the innermost variable is a constant plus a nonconstant part; residuals are
-grouped by that part, each distinct part is evaluated once over the
-innermost set with C-level ``map`` over precomputed power columns, and the
-constants are then added to its values.  On the structured sets where
-images collapse (intervals, geometric progressions) many prefixes share a
-part, so far fewer than one evaluation per grid point remains.
+D = c * prod D_i^deg_i(f) makes every coefficient of F an integer.
+Dividing by D is injective, so :func:`image_size` counts the values of F
+and ``build_instance`` tests D * y against them, in integers; only
+:func:`image_values` divides each distinct value by D, once at the end.
+The innermost variable is the one of lowest degree in f, then in the
+fewest terms, then of lowest index; a variable f does not contain drops
+out.  The outer prefixes are substituted into the sparse term map, the
+last outer variable column-wise, and a residual met before at the same
+depth is skipped.  Each residual in the innermost variable is a constant
+plus a nonconstant part; residuals are grouped by that part, each
+distinct part is evaluated once over the innermost set with C-level
+``map`` over precomputed power columns, and the constants are then added
+to its values.  On the structured sets where images collapse (intervals,
+geometric progressions) many prefixes share a part, so far fewer than
+one evaluation per grid point remains.
 
 Fitted growth exponents (least squares on log-log data) are compared to
 the theoretical exponent (5r - 4) / (2r) attached to a polynomial of rank
@@ -187,15 +190,10 @@ def _residuals(
         _residuals(sub, powers, depth + 1, seen, groups)
 
 
-def image_values(
-    f: Polynomial,
-    sets: Sequence[Sequence[Scalar]],
-    budget: int = DEFAULT_BUDGET,
-) -> set:
-    """The exact image set {f(a_1, ..., a_k) : a_i in A_i}.
-
-    Values are ``int`` when integral and ``Fraction`` otherwise.
-    """
+def _cleared_grid(f: Polynomial, sets: Sequence[Sequence[Scalar]], budget: int) -> tuple[Polynomial, Sequence, int]:
+    """``(F, grids, D)`` with F(y) = D * f(y_1 / D_1, ..., y_k / D_k) over
+    the integer grids D_i * A_i (see the module docstring); ``(f, sets, 1)``
+    when both are integral already.  Checks the grid against ``budget``."""
     k = f.vars.k
     if len(sets) != k:
         raise ValueError(f"need {k} sets, got {len(sets)}")
@@ -206,31 +204,43 @@ def image_values(
         size *= len(s)
     if size > budget:
         raise BudgetExceededError(f"grid has {size} tuples, over the budget of {budget}")
+    if Fraction not in map(type, f.terms.values()) and not any(Fraction in map(type, s) for s in sets):
+        return f, sets, 1
+    degrees = [max((m[i] for m in f.terms), default=0) for i in range(k)]
+    cleared = [_cleared(s) for s in sets]  # (D_i * A_i, D_i)
+    coeffs, scale = _cleared(f.terms.values())
+    scale *= math.prod(d**e for (_, d), e in zip(cleared, degrees))
+    terms = {m: c * math.prod(d ** (e - m_i) for (_, d), e, m_i in zip(cleared, degrees, m))
+             for m, c in zip(f.terms, coeffs)}
+    return Polynomial._raw(f.vars, terms), [grid for grid, _ in cleared], scale
+
+
+def image_values(
+    f: Polynomial,
+    sets: Sequence[Sequence[Scalar]],
+    budget: int = DEFAULT_BUDGET,
+) -> set:
+    """The exact image set {f(a_1, ..., a_k) : a_i in A_i}.
+
+    Values are ``int`` when integral and ``Fraction`` otherwise.
+    """
+    f, grids, scale = _cleared_grid(f, sets, budget)
     if f.is_zero:
         return {0}
-
-    # Sweep F(y) = D * f(y_1 / D_1, ..., y_k / D_k), D = c * prod D_i^deg_i,
-    # over the integer grid D_i * A_i (see the module docstring).
+    k = f.vars.k
     degrees = [max(m[i] for m in f.terms) for i in range(k)]
     active = [i for i in range(k) if degrees[i]]  # f ignores the others
     if not active:
-        return set(f.terms.values())
-    cleared = {i: _cleared(sets[i]) for i in active}  # i -> (D_i * A_i, D_i)
-    coeffs, scale = _cleared(f.terms.values())
-    scale *= math.prod(cleared[i][1] ** degrees[i] for i in active)
+        return set(f.terms.values()) if scale == 1 else {_over(c, scale) for c in f.terms.values()}
 
     # Innermost: the lowest degree, then the fewest terms, then the lowest
     # index; the other variables keep their order.
     inner = min(active, key=lambda i: (degrees[i], sum(1 for m in f.terms if m[i]), i))
     order = [i for i in active if i != inner] + [inner]
-    terms: dict[tuple[int, ...], int] = {}
-    for m, coeff in zip(f.terms, coeffs):
-        for i in active:
-            coeff *= cleared[i][1] ** (degrees[i] - m[i])
-        terms[tuple(m[i] for i in order)] = coeff
+    terms = {tuple(m[i] for i in order): c for m, c in f.terms.items()}
     powers = []
     for i in order:
-        values = dict.fromkeys(cleared[i][0])
+        values = dict.fromkeys(grids[i])
         exponents = {m[i] for m in f.terms} - {0}
         powers.append({e: [v**e for v in values] for e in exponents})
 
@@ -246,10 +256,11 @@ def image_size(
 ) -> int:
     """Exact cardinality of the image of the grid under f.
 
-    ``workers`` is accepted for compatibility and ignored: the sweep runs
-    in one process.
+    Dividing by D is injective, so this counts the image of F in integers.
+    ``workers`` is accepted for compatibility and ignored (one process).
     """
-    return len(image_values(f, sets, budget=budget))
+    f, grids, _ = _cleared_grid(f, sets, budget)
+    return len(image_values(f, grids, budget=budget))
 
 
 def fit_exponent(rows: Sequence[tuple[int, int]]) -> float:

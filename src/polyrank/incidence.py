@@ -10,7 +10,8 @@ through its grid points; curves are deduplicated by exact equality of
 their coefficient vectors, and the multiplicity of a curve is the number
 of surviving suffixes producing it.  Incidences between P = A_1 x B
 (B the image of f on the grid) and the curve family are counted
-exhaustively with exact arithmetic.
+exhaustively with exact arithmetic, B as the integer image of D * f over
+the cleared grid (see :mod:`polyrank.expansion`) and tested with D * y.
 
 The counts are then compared against the classical point-line incidence
 bound m^(2/3) n^(2/3) + m + n and the refined bound for an s-dimensional
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expansion import DEFAULT_BUDGET, BudgetExceededError, image_values
+from .expansion import DEFAULT_BUDGET, BudgetExceededError, _cleared_grid, image_values
 from .poly import Polynomial, Scalar
 from .rank import coefficient_map, generic_rank_exact, jacobian
 
@@ -102,7 +103,8 @@ def build_instance(
     if s_size > budget:
         raise BudgetExceededError(f"grid has {s_size} tuples, over the budget of {budget}")
 
-    image = image_values(f, sets, budget=budget)
+    cleared_f, grids, scale = _cleared_grid(f, sets, budget)
+    image = image_values(cleared_f, grids, budget=budget)  # scale * (the image of f)
 
     # Classify suffixes by the minor determinant and collect curves.
     from itertools import product as iter_product
@@ -137,6 +139,8 @@ def build_instance(
     incidence_count = 0
     for coeffs in curves:
         nonzero = [(e, coeffs[e]) for e in cm.exponents if coeffs[e]]
+        if scale != 1:  # y is in B exactly when scale * y is in the image
+            nonzero = [(e, scale * c) for e, c in nonzero]
         for x in a1:
             y = 0
             for e, c in nonzero:

@@ -251,6 +251,60 @@ def test_large_rational_grid_matches_reference():
     assert canonical_types(image)
 
 
+# ------------------------------------------------------------ counting over the cleared grid
+
+nonintegral = st.fractions(min_value=-10, max_value=10, max_denominator=12).filter(
+    lambda v: v.denominator > 1)
+
+
+@st.composite
+def rational_grid_cases(draw):
+    """An image case whose every set holds at least one non-integral value."""
+    f, sets = draw(image_cases())
+    return f, [s + [draw(nonintegral)] for s in sets]
+
+
+@settings(deadline=None, max_examples=150)
+@given(rational_grid_cases())
+@example((Polynomial(var_set(2), {}), [[0, Fraction(1, 2)], [Fraction(-3, 4)]]))
+@example((Polynomial(var_set(3), {(0, 0, 0): Fraction(-7, 3)}), [[Fraction(1, 5)], [0, 2], [Fraction(5, 6)]]))
+@example((Polynomial(var_set(3), {(2, 0, 1): Fraction(1, 2), (1, 0, 0): -3}),
+          [[0, Fraction(-1, 2), Fraction(2, 3)], [Fraction(1, 7), 9], [Fraction(-5, 4), Fraction(3, 10), 1]]))
+def test_image_size_counts_rational_grids(case):
+    # covers mixed denominators, negatives, 0, ignored variables, constants
+    # and the zero polynomial
+    f, sets = case
+    assert image_size(f, sets) == len(image_values(f, sets)) == len(brute_image(f, sets))
+
+
+def test_image_size_on_rational_grid_divides_nothing(monkeypatch):
+    import polyrank.expansion as expansion
+
+    calls = []
+    real_over = expansion._over
+    monkeypatch.setattr(expansion, "_over", lambda n, d: calls.append(d) or real_over(n, d))
+    sets = [[Fraction(1, 2), Fraction(-2, 3), 0], [Fraction(1, 3), 5], [Fraction(3, 4), Fraction(1, 9)]]
+    fifth_x1_x2 = Polynomial(V3, {(1, 1, 0): Fraction(1, 5), (0, 0, 2): 1})
+    for f in (P("x1^2000*x2 + x1*x3"), fifth_x1_x2, Polynomial.constant(V3, Fraction(7, 3)), P("0")):
+        assert image_size(f, sets) == len(brute_image(f, sets))
+    assert calls == []
+    image_values(P("x1*x2"), sets)  # the image itself is divided by D
+    assert calls
+
+
+@pytest.mark.parametrize("call", [image_size, image_values])
+def test_rational_grid_errors_unchanged(call):
+    f = Polynomial(V3, {(1, 1, 0): 1, (0, 0, 1): Fraction(1, 2)})
+    half = [Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]  # a duplicate counts as a tuple
+    with pytest.raises(ValueError, match=r"^need 3 sets, got 2$"):
+        call(f, [half, half])
+    with pytest.raises(ValueError, match=r"^empty input set$"):
+        call(f, [half, [], half])
+    with pytest.raises(BudgetExceededError, match=r"^grid has 27 tuples, over the budget of 26$"):
+        call(f, [half] * 3, budget=26)
+    assert call(f, [half] * 3, budget=27)
+
+
 # ------------------------------------------------------------ exponents & reports
 
 def test_theoretical_exponent_values():

@@ -1,5 +1,6 @@
 """Surface-set decomposition, curve families, and incidence counting."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -12,6 +13,7 @@ from polyrank import (
     build_instance,
     coefficient_map,
     generic_rank_exact,
+    image_values,
     jacobian,
     parse,
     verify_counts,
@@ -139,6 +141,29 @@ def test_high_degree_rational_instance_matches_brute_oracle():
     assert inst.sprime_size == expected["Sprime"]
     assert dict(zip(inst.curves, inst.multiplicities)) == expected["curves"]
     assert inst.incidence_count == expected["incidences"] == inst.sprime_size
+
+
+@pytest.mark.parametrize("f, sets", [
+    (P("x1*x2 + x3"), [[Fraction(-1, 2), 0, Fraction(2, 3)], [Fraction(1, 3), -2, 1], [Fraction(3, 4), Fraction(-1, 6)]]),
+    (Polynomial(V3, {(2, 1, 0): Fraction(1, 3), (1, 0, 1): 1, (0, 0, 0): Fraction(-5, 2)}),
+     [[Fraction(1, 2), 1, Fraction(-3, 5)], [0, Fraction(2, 7), Fraction(-1, 2)], [Fraction(1, 9), 4]]),
+    (P("x1^40*x2 + x1*x3"), [[Fraction(-5, 2), -1, Fraction(1, 3), Fraction(7, 8)],
+                           [Fraction(1, 2), Fraction(1, 11), 2], [Fraction(1, 4), Fraction(6, 7), 5]]),
+])
+def test_rational_sets_match_fraction_image(f, sets):
+    # build_instance tests D * y in the integer image; the reference tests y
+    # in the Fraction image, and every other field must match as well
+    inst = build_instance(f, sets)
+    image = image_values(f, sets)
+    incidences = sum(
+        1 for curve in inst.curves for x in sets[0]
+        if sum(c * x**e for e, c in enumerate(curve) if c) in image)
+    assert inst == replace(inst, image_size=len(image), points_size=len(sets[0]) * len(image),
+                           incidence_count=incidences)
+    expected = brute_instance(f, sets, inst.witness_rows)
+    assert (inst.s_size, inst.s0_size, inst.sprime_size) == (expected["S"], expected["S0"], expected["Sprime"])
+    assert dict(zip(inst.curves, inst.multiplicities)) == expected["curves"]
+    assert incidences == expected["incidences"]
 
 
 def test_all_degenerate_instance_is_empty():
