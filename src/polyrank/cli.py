@@ -95,11 +95,10 @@ def _parse_sets(text: str, vars: VarSet, seed: int) -> list[tuple]:
     return [generate_set(SetSpec(kind, n, seed=_set_seed(seed, i))) for i in range(vars.k)]
 
 
-def _emit(document: dict, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(document: dict) -> None:
     payload = {"spec_version": SPEC_VERSION}
     payload.update(document)
-    stream.write(json.dumps(payload) + "\n")
+    sys.stdout.write(json.dumps(payload) + "\n")
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -138,8 +137,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             raise ValueError("--degenerate expects exactly one value in --n")
         _emit(degenerate_demo(args.degenerate, n_values[0], seed=args.seed, budget=budget))
         return 0
-    if not args.poly or not args.vars:
-        raise ValueError("--poly and --vars are required unless --degenerate is given")
+    if not args.poly or not args.vars or not args.n:
+        raise ValueError("--poly, --vars and --n are required unless --degenerate is given")
     vars = _parse_vars(args.vars)
     f = parse(args.poly, vars)
     n_list = [int(v) for v in args.n.split(",")]

@@ -23,9 +23,10 @@ constants are not specified, so no pass/fail is attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iter_product
 from typing import Sequence
 
-from .expansion import DEFAULT_BUDGET, BudgetExceededError, _cleared_grid, image_values
+from .expansion import DEFAULT_BUDGET, _cleared_grid, image_values
 from .poly import Polynomial, Scalar
 from .rank import coefficient_map, generic_rank_exact, jacobian
 
@@ -100,15 +101,10 @@ def build_instance(
         suffix_count *= len(s)
     a1 = list(sets[0])
     s_size = suffix_count * len(a1)
-    if s_size > budget:
-        raise BudgetExceededError(f"grid has {s_size} tuples, over the budget of {budget}")
-
     cleared_f, grids, scale = _cleared_grid(f, sets, budget)
     image = image_values(cleared_f, grids, budget=budget)  # scale * (the image of f)
 
     # Classify suffixes by the minor determinant and collect curves.
-    from itertools import product as iter_product
-
     non_pivot = [name for name in vars.names if name != pivot]
     degenerate_suffixes = 0
     curve_mult: dict[CoeffVector, int] = {}

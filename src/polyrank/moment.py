@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .expansion import SetSpec, _set_seed, fit_exponent, generate_set, theoretical_exponent
-from .poly import Polynomial, Scalar, VarSet, _cleared, _over, product
+from .poly import Polynomial, Scalar, VarSet, _cleared, _over
 from .rank import PolyMatrix, rank_in
 
 
@@ -39,7 +39,8 @@ def volume_vars(d: int) -> VarSet:
 def _vandermonde(vars: VarSet, count: int) -> Polynomial:
     """prod_{1<=i<j<=count} (x_j - x_i) over the first ``count`` variables."""
     xs = [Polynomial.variable(vars, name) for name in vars.names[:count]]
-    return product(vars, (xs[j] - xs[i] for i in range(count) for j in range(i + 1, count)))
+    return math.prod((xs[j] - xs[i] for i in range(count) for j in range(i + 1, count)),
+                     start=Polynomial.constant(vars, 1))
 
 
 def volume_poly(d: int) -> Polynomial:
@@ -115,23 +116,6 @@ def _det_sign(det: Polynomial, vandermonde: Polynomial, d: int) -> int:
     raise AssertionError(f"det(M) is not +-Vandermonde for d={d}")
 
 
-@dataclass(frozen=True)
-class MomentInstance:
-    """The symbolic cast for one dimension: volume polynomial f, the
-    x_{d+1}-free prefactor g, the symmetric coefficients s_0..s_d of the
-    root product, and the d x d derivative matrix M."""
-
-    d: int
-    f: Polynomial
-    g: Polynomial
-    s: tuple[Polynomial, ...]
-    m: PolyMatrix
-
-
-def moment_instance(d: int) -> MomentInstance:
-    return MomentInstance(d=d, f=volume_poly(d), g=prefactor(d), s=symmetric_polys(d), m=matrix_m(d))
-
-
 def verify_rank(d: int, method: str = "randomized", trials: int = 5, seed: int = 0) -> bool:
     """Does the volume polynomial have rank d with respect to x_{d+1}?
 
@@ -144,20 +128,22 @@ def verify_rank(d: int, method: str = "randomized", trials: int = 5, seed: int =
 
 
 def moment_summary(d: int) -> dict:
-    """One-stop summary of the symbolic identities for a given dimension."""
-    inst = moment_instance(d)
-    pivot_power = Polynomial.variable(inst.f.vars, inst.f.vars.names[-1])
-    reconstruction = Polynomial.zero(inst.f.vars)
-    power = Polynomial.constant(inst.f.vars, 1)
-    for s_l in inst.s:
+    """One-stop summary of the symbolic identities for a given dimension:
+    the volume polynomial f, its x_{d+1}-free prefactor g, the symmetric
+    coefficients s_0..s_d of the root product, and the matrix M."""
+    f, g, s, m = volume_poly(d), prefactor(d), symmetric_polys(d), matrix_m(d)
+    pivot_power = Polynomial.variable(f.vars, f.vars.names[-1])
+    reconstruction = Polynomial.zero(f.vars)
+    power = Polynomial.constant(f.vars, 1)
+    for s_l in s:
         reconstruction = reconstruction + s_l * power
         power = power * pivot_power
     return {
         "d": d,
-        "volume_poly": str(inst.f),
-        "factorization_ok": inst.g * reconstruction == inst.f,
-        "det_m_sign": _det_sign(inst.m.determinant(), inst.g * math.factorial(d), d),
-        "rank_ok": rank_in(inst.f, inst.f.vars.names[-1]) == d,
+        "volume_poly": str(f),
+        "factorization_ok": g * reconstruction == f,
+        "det_m_sign": _det_sign(m.determinant(), g * math.factorial(d), d),
+        "rank_ok": rank_in(f, f.vars.names[-1]) == d,
     }
 
 

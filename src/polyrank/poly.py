@@ -391,27 +391,6 @@ class Polynomial:
             return NEG_INF
         return max(sum(m) for m in self._terms)
 
-    def degree_in(self, name: str) -> int | float:
-        """Largest exponent of ``name``; NEG_INF for the zero polynomial."""
-        i = self.vars.index(name)
-        if not self._terms:
-            return NEG_INF
-        return max(m[i] for m in self._terms)
-
-    def involves(self, name: str) -> bool:
-        i = self.vars.index(name)
-        return any(m[i] for m in self._terms)
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self._terms.get((0,) * self.vars.k, 0))
-
-    def leading_term(self) -> tuple[Exponents, Scalar]:
-        """Largest term in graded-lex order.  Raises on the zero polynomial."""
-        if not self._terms:
-            raise ValueError("the zero polynomial has no leading term")
-        m = max(self._terms, key=grlex_key)
-        return m, self._terms[m]
-
     # -- ring arithmetic ---------------------------------------------------
 
     def _coerce(self, other: object) -> "Polynomial | None":
@@ -662,18 +641,6 @@ def project(p: Polynomial, names: Sequence[str]) -> Polynomial:
     return Polynomial._raw(target, out)
 
 
-def embed(p: Polynomial, target: VarSet) -> Polynomial:
-    """View ``p`` as a polynomial over the larger variable set ``target``."""
-    positions = [target.index(name) for name in p.vars.names]
-    out: dict[Exponents, Scalar] = {}
-    for m, c in p.terms.items():
-        e = [0] * target.k
-        for pos, exp in zip(positions, m):
-            e[pos] = exp
-        out[tuple(e)] = c
-    return Polynomial._raw(target, out)
-
-
 #: Kronecker division runs only when ``(slots - span) * span * width^2 <=
 #: _DIV_GATE * |p| * |d|``: CPython's schoolbook division of a ``slots``-slot
 #: dividend by a ``span``-slot divisor, ``width`` bytes a slot, against the
@@ -835,11 +802,3 @@ def _div_heap(
                     del rem[key]
     mask = (1 << (width - 1)) - 1
     return {tuple((kq >> s) & mask for s in shifts): cq for kq, cq in quotient}
-
-
-def product(vars: VarSet, factors: Iterable[Polynomial]) -> Polynomial:
-    """Product of a (possibly empty) sequence of polynomials over ``vars``."""
-    result = Polynomial.constant(vars, 1)
-    for f in factors:
-        result = result * f
-    return result

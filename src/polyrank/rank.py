@@ -79,14 +79,6 @@ class CoefficientMap:
     def vars(self) -> VarSet:
         return self.alphas[0].vars
 
-    def reconstruct(self) -> Polynomial:
-        """Sum alpha_i * pivot^i; recovers the original polynomial exactly."""
-        v = Polynomial.variable(self.vars, self.pivot_var)
-        total = Polynomial.zero(self.vars)
-        for e, alpha in zip(self.exponents, self.alphas):
-            total = total + alpha * v**e
-        return total
-
 
 def coefficient_map(f: Polynomial, v: str) -> CoefficientMap:
     """Split f by powers of the pivot variable ``v``, keeping the nonzero
@@ -140,10 +132,6 @@ class PolyMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __getitem__(self, key: tuple[int, int]) -> Polynomial:
-        i, j = key
-        return self.entries[i][j]
-
     def total_degree(self) -> int:
         """Max total degree over entries (0 for an all-zero or empty matrix)."""
         best = 0
@@ -166,7 +154,7 @@ class PolyMatrix:
         if n == 0:
             return Polynomial.constant(self.vars, 1)
         a = [list(row) for row in self.entries]
-        r, _, _, sign = bareiss(a, POLYNOMIALS)
+        r, _, sign = bareiss(a, POLYNOMIALS)
         if r < n:
             return Polynomial.zero(self.vars)
         return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
@@ -209,7 +197,7 @@ MOD_PRIME = Ring(lambda a, b: a * b % PRIME, lambda a, b: (a - b) % PRIME,
                  lambda a, b: a * pow(b, -1, PRIME) % PRIME, lambda a: not a % PRIME)
 
 
-def bareiss(a: list[list[Any]], ring: Ring) -> tuple[int, Witness, tuple[int, ...], int]:
+def bareiss(a: list[list[Any]], ring: Ring) -> tuple[int, Witness, int]:
     """Fraction-free Bareiss elimination of ``a``, in place, over ``ring``.
 
     Pivots are the first nonzero entry of the trailing submatrix in
@@ -217,8 +205,8 @@ def bareiss(a: list[list[Any]], ring: Ring) -> tuple[int, Witness, tuple[int, ..
     is an (r+1)-minor of the input, so dividing by the previous pivot is
     exact, and the pivots are leading minors of the permuted input: the
     last one of a square matrix of full rank is its determinant up to sign.
-    Returns the rank, the pivot minor as a witness, the pivot columns in
-    the order they were chosen, and the sign of the row and column swaps.
+    Returns the rank, the pivot minor as a witness (its rows and columns
+    sorted) and the sign of the row and column swaps.
     """
     mul, sub, div, is_zero = ring
     n_rows = len(a)
@@ -252,14 +240,13 @@ def bareiss(a: list[list[Any]], ring: Ring) -> tuple[int, Witness, tuple[int, ..
                 row[j] = num if prev is None else div(num, prev)
         prev = piv
         r += 1
-    witness = Witness(rows=tuple(sorted(row_ids[:r])), cols=tuple(sorted(col_ids[:r])))
-    return r, witness, tuple(col_ids[:r]), sign
+    return r, Witness(rows=tuple(sorted(row_ids[:r])), cols=tuple(sorted(col_ids[:r]))), sign
 
 
 def generic_rank_exact(m: PolyMatrix) -> tuple[int, Witness]:
     """Rank of ``m`` over the rational-function field, with a certifying
     minor (the pivot rows/columns of the elimination)."""
-    r, witness, _, _ = bareiss([list(row) for row in m.entries], POLYNOMIALS)
+    r, witness, _ = bareiss([list(row) for row in m.entries], POLYNOMIALS)
     return r, witness
 
 
@@ -305,7 +292,7 @@ def _randomized_rank(m: PolyMatrix, trials: int, seed: int) -> tuple[int, Witnes
     for t in range(trials):
         values, ring = trial_values(entries, sample_point(seed, t, m.vars.k, degree))
         rows = [values[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
-        r, witness, _, _ = bareiss(rows, ring)
+        r, witness, _ = bareiss(rows, ring)
         if r > best:
             best, best_witness = r, witness
             if best == min(m.rows, m.cols):
@@ -334,6 +321,8 @@ def rank_in(f: Polynomial, v: str, method: str = "randomized", trials: int = 5, 
 def _rank_in_with_witness(
     f: Polynomial, v: str, method: str, trials: int, seed: int
 ) -> tuple[int, Witness]:
+    """:func:`rank_in` and its pivot minor: witness rows are labelled by
+    pivot exponent, columns index the non-pivot variables in order."""
     cm = coefficient_map(f, v)
     m = jacobian(cm)
     if method == "exact":

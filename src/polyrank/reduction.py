@@ -20,7 +20,7 @@ from itertools import product as iter_product
 from typing import Iterable, Mapping, Sequence
 
 from .poly import Polynomial, Scalar, _as_scalar, project
-from .rank import POLYNOMIALS, PolyMatrix, bareiss, coefficient_map, jacobian, rank_in, sample_point
+from .rank import _rank_in_with_witness, rank_in, sample_point
 
 DEFAULT_MAX_ATTEMPTS = 64
 
@@ -53,24 +53,15 @@ def _rational_json(value: Scalar) -> int | str:
     return value if isinstance(value, int) else str(value)  # canonical: a Fraction is never integral
 
 
-def select_independent_columns(j: PolyMatrix, r: int) -> tuple[int, ...]:
-    """Indices of r columns of generic rank r: the pivot columns found by
-    fraction-free elimination, in ascending order."""
-    rank_found, _, pivot_cols, _ = bareiss([list(row) for row in j.entries], POLYNOMIALS)
-    if rank_found < r:
-        raise ValueError(f"matrix has generic rank {rank_found}, below the requested {r}")
-    return tuple(sorted(pivot_cols[:r]))
-
-
 def _prepare(f: Polynomial, v: str) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
-    """Compute r = rank_in(f, v), the kept variables, and the fixed ones."""
+    """Compute r = rank_in(f, v) exactly, the kept variables (the columns of
+    its pivot minor) and the fixed ones."""
     k = f.vars.k
-    jac = jacobian(coefficient_map(f, v))
-    r, _, pivot_cols, _ = bareiss([list(row) for row in jac.entries], POLYNOMIALS)
+    r, witness = _rank_in_with_witness(f, v, "exact", 0, 0)
     if r > k - 2:
         raise ValueError(f"rank_in(f, {v}) = {r} admits no reduction (need rank <= k-2 = {k - 2})")
     non_pivot = [name for name in f.vars.names if name != v]
-    kept_names = {non_pivot[c] for c in pivot_cols[:r]}
+    kept_names = {non_pivot[c] for c in witness.cols}
     kept = tuple(name for name in f.vars.names if name in kept_names)
     fixed = tuple(name for name in non_pivot if name not in kept_names)
     return r, kept, fixed

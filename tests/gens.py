@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 from itertools import product as iter_product
 
-from polyrank import Polynomial, VarSet, rank
+from polyrank import NEG_INF, Polynomial, VarSet, rank
+from polyrank.poly import grlex_key
 
 
 def var_set(k: int, prefix: str = "x") -> VarSet:
@@ -168,3 +169,42 @@ def permute_polynomial(f: Polynomial, perm: list[int]) -> Polynomial:
             e[perm[i]] = exp
         out[tuple(e)] = c
     return Polynomial(f.vars, out)
+
+
+# ------------------------------------------------------------ term-map oracles
+
+def degree_in(p: Polynomial, name: str):
+    """Largest exponent of ``name`` in p; NEG_INF for the zero polynomial."""
+    i = p.vars.index(name)
+    return max((m[i] for m in p.terms), default=NEG_INF)
+
+
+def constant_term(p: Polynomial) -> Fraction:
+    return Fraction(p.terms.get((0,) * p.vars.k, 0))
+
+
+def leading_term(p: Polynomial):
+    """(exponents, coefficient) of p's largest term in graded-lex order."""
+    m = max(p.terms, key=grlex_key)
+    return m, p.terms[m]
+
+
+def embed(p: Polynomial, target: VarSet) -> Polynomial:
+    """p viewed over the larger variable set ``target``."""
+    positions = [target.index(name) for name in p.vars.names]
+    out = {}
+    for m, c in p.terms.items():
+        e = [0] * target.k
+        for pos, exp in zip(positions, m):
+            e[pos] = exp
+        out[tuple(e)] = c
+    return Polynomial(target, out)
+
+
+def reconstruct(cm) -> Polynomial:
+    """sum alpha_i * pivot^i over a coefficient map: the polynomial it came from."""
+    v = Polynomial.variable(cm.vars, cm.pivot_var)
+    total = Polynomial.zero(cm.vars)
+    for e, alpha in zip(cm.exponents, cm.alphas):
+        total = total + alpha * v**e
+    return total

@@ -120,6 +120,18 @@ def test_precondition_violation_is_1(capsys):
     assert "no reduction" in err
 
 
+def test_expand_without_n_is_1():
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyrank", "expand", "--poly", "x1*x2+x3", "--vars", "x1,x2,x3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "--n" in proc.stderr
+
+
 @pytest.mark.parametrize("flag", ["--workers", "--budget"])
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_nonpositive_count_flags_are_usage_errors(capsys, flag, value):

@@ -11,6 +11,7 @@ from polyrank import (
     BudgetExceededError,
     Polynomial,
     SetSpec,
+    build_instance,
     degenerate_demo,
     expansion_report,
     generate_set,
@@ -292,7 +293,7 @@ def test_image_size_on_rational_grid_divides_nothing(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("call", [image_size, image_values])
+@pytest.mark.parametrize("call", [image_size, image_values, build_instance])
 def test_rational_grid_errors_unchanged(call):
     f = Polynomial(V3, {(1, 1, 0): 1, (0, 0, 1): Fraction(1, 2)})
     half = [Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]  # a duplicate counts as a tuple

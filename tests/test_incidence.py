@@ -18,7 +18,7 @@ from polyrank import (
     parse,
     verify_counts,
 )
-from gens import var_set
+from gens import constant_term, degree_in, var_set
 
 V3 = var_set(3)
 
@@ -35,7 +35,7 @@ def brute_instance(f, sets, minor_rows):
     vars = f.vars
     alphas = [
         Polynomial(vars, {(0,) + m[1:]: c for m, c in f.terms.items() if m[0] == i})
-        for i in range(f.degree_in(vars.names[0]) + 1)
+        for i in range(degree_in(f, vars.names[0]) + 1)
     ]
     jac = PolyMatrix(vars, [[alpha.partial(name) for name in vars.names[1:]] for alpha in alphas])
     det = jac.submatrix(minor_rows, range(vars.k - 1)).determinant()
@@ -48,10 +48,10 @@ def brute_instance(f, sets, minor_rows):
     for suffix in iter_product(*suffix_sets):
         bindings = dict(zip(vars.names[1:], suffix))
         restricted = det.substitute(bindings)
-        if restricted.constant_term() == 0:
+        if constant_term(restricted) == 0:
             degenerate += 1
             continue
-        vector = tuple(alpha.substitute(bindings).constant_term() for alpha in alphas)
+        vector = tuple(constant_term(alpha.substitute(bindings)) for alpha in alphas)
         curves[vector] = curves.get(vector, 0) + 1
     incidences = 0
     for vector in curves:

@@ -84,25 +84,22 @@ def test_prefactor_times_root_product_is_volume():
         assert moment_summary(d)["factorization_ok"]
 
 
-def test_moment_instance_bundle():
-    from polyrank import moment_instance
-
-    inst = moment_instance(3)
-    assert inst.d == 3
-    assert inst.f == volume_poly(3)
-    assert inst.s[-1] == 1  # leading coefficient of the root product
-    assert (inst.m.rows, inst.m.cols) == (3, 3)
-    vars = inst.f.vars
+def test_moment_symbolic_cast():
+    # the f, g, s and M that moment_summary checks, for d = 3
+    f, g, s, m = volume_poly(3), prefactor(3), symmetric_polys(3), matrix_m(3)
+    assert s[-1] == 1  # leading coefficient of the root product
+    assert (m.rows, m.cols) == (3, 3)
+    vars = f.vars
     reconstruction = Polynomial.zero(vars)
     power = Polynomial.constant(vars, 1)
     t = Polynomial.variable(vars, vars.names[-1])
-    for s_l in inst.s:
+    for s_l in s:
         reconstruction = reconstruction + s_l * power
         power = power * t
-    assert inst.g * reconstruction == inst.f
+    assert g * reconstruction == f
     for i in range(3):
         for j in range(3):
-            assert inst.m[i, j] == inst.s[i].partial(vars.names[j])
+            assert m.entries[i][j] == s[i].partial(vars.names[j])
 
 
 def test_matrix_m_small_cases():

@@ -20,7 +20,6 @@ from polyrank import (
     parse,
     rank,
     rank_in,
-    select_independent_columns,
 )
 from polyrank import poly
 from polyrank.rank import (
@@ -34,10 +33,12 @@ from polyrank.rank import (
     trial_values,
 )
 from gens import (
+    degree_in,
     dense_random_polynomial,
     gapped_random_polynomial,
     permute_polynomial,
     random_point,
+    reconstruct,
     sparse_random_polynomial,
     var_set,
 )
@@ -156,11 +157,11 @@ def test_coefficient_map_reconstruction_random():
             continue
         v = rng.choice(V3.names)
         cm = coefficient_map(f, v)
-        assert cm.reconstruct() == f
+        assert reconstruct(cm) == f
         assert all(a < b for a, b in zip(cm.exponents, cm.exponents[1:]))
         assert len(cm.exponents) == len(cm.alphas)
         assert not any(alpha.is_zero for alpha in cm.alphas)
-        assert all(not alpha.involves(v) for alpha in cm.alphas)
+        assert all(degree_in(alpha, v) == 0 for alpha in cm.alphas)
 
 
 def test_coefficient_map_cost_follows_terms_not_degree():
@@ -171,7 +172,7 @@ def test_coefficient_map_cost_follows_terms_not_degree():
     assert cm.degree == 10**8
     assert cm.alphas == (parse("x2", V2),)
     assert jacobian(cm).entries == ((Polynomial.constant(V2, 1),),)
-    assert cm.reconstruct() == f
+    assert reconstruct(cm) == f
 
 
 # ------------------------------------------------------------ sparse map against the dense map
@@ -180,7 +181,7 @@ def _dense_coefficient_map(f, v):
     """The dense map alpha_0..alpha_d, zero alphas included: the reference
     the sparse map must agree with."""
     i = f.vars.index(v)
-    buckets = [{} for _ in range(int(f.degree_in(v)) + 1)]
+    buckets = [{} for _ in range(degree_in(f, v) + 1)]
     for m, c in f.terms.items():
         e = m[i]
         stripped = m[:i] + (0,) + m[i + 1:]
@@ -271,20 +272,20 @@ def test_rank_reports_match_dense_reference(method):
     for case in range(24):
         vars = var_set(3 + case % 2)
         f = gapped_random_polynomial(rng, vars)
-        gapped += any(len(coefficient_map(f, v).exponents) <= f.degree_in(v) for v in vars.names)
+        gapped += any(len(coefficient_map(f, v).exponents) <= degree_in(f, v) for v in vars.names)
         assert rank(f, method=method, seed=case).to_json_dict() == _dense_rank_json(f, method, 5, case)
     assert gapped == 24
 
 
 def test_select_columns_match_dense_reference():
+    # the witness columns are the variables that reduction keeps
     rng = random.Random(2601)
     for case in range(24):
         vars = var_set(3 + case % 2)
         f = gapped_random_polynomial(rng, vars)
         v = vars.names[case % vars.k]
-        dense = _dense_jacobian(f, v)
-        r, _ = generic_rank_exact(dense)
-        assert select_independent_columns(jacobian(coefficient_map(f, v)), r) == select_independent_columns(dense, r)
+        _, witness = generic_rank_exact(jacobian(coefficient_map(f, v)))
+        assert witness.cols == generic_rank_exact(_dense_jacobian(f, v))[1].cols
 
 
 def test_incidence_instances_match_dense_reference():
@@ -471,7 +472,7 @@ def test_rational_rank_agrees_with_sympy():
             minor = [[rows[i][j] for j in witness.cols] for i in witness.rows]
             assert _sympy_rank(sympy, minor) == r
             for ring, values in ((RATIONALS, rows), (MOD_PRIME, _residues(rows))):
-                got, witness, _, _ = bareiss([row[:] for row in values], ring)
+                got, witness, _ = bareiss([row[:] for row in values], ring)
                 assert (got, witness) == expected
     assert deficient >= 10
 

@@ -7,16 +7,17 @@ import pytest
 from polyrank import (
     PolyMatrix,
     ReductionError,
-    embed,
+    coefficient_map,
+    generic_rank_exact,
     grid_reduce,
     image_values,
+    jacobian,
     parse,
     project,
     rank_in,
     reduce,
-    select_independent_columns,
 )
-from gens import var_set
+from gens import embed, var_set
 
 V4 = var_set(4)
 V5 = var_set(5)
@@ -31,33 +32,30 @@ def matrix(rows, vars=V4):
 
 
 # ------------------------------------------------------------ column selection
+# Reduction keeps the variables of the witness columns of the exact rank.
 
 def test_select_columns_constant_matrix():
     m = matrix([["0", "0"], ["1", "0"], ["0", "1"]])
-    assert select_independent_columns(m, 2) == (0, 1)
+    assert generic_rank_exact(m)[1].cols == (0, 1)
 
 
 def test_select_columns_first_pivot():
     m = matrix([["1", "1"], ["0", "0"]])
-    assert select_independent_columns(m, 1) == (0,)
+    assert generic_rank_exact(m)[1].cols == (0,)
 
 
 def test_select_columns_skips_dependent():
     # f = x1*(x2+x3) + x1^2*x4 over (x1..x4), pivot x1:
     # nonzero alphas (x2+x3, x4) at exponents (1, 2); Jacobian rows
     # [1,1,0], [0,0,1]
-    from polyrank import coefficient_map, jacobian
-
-    jac = jacobian(coefficient_map(P("x1*(x2+x3) + x1^2*x4"), "x1"))
-    cols = select_independent_columns(jac, 2)
-    assert cols in ((0, 2), (1, 2))
+    f = P("x1*(x2+x3) + x1^2*x4")
+    jac = jacobian(coefficient_map(f, "x1"))
+    r, witness = generic_rank_exact(jac)
+    assert r == 2 and witness.cols in ((0, 2), (1, 2))
     # the 2x2 minor on the rows of the two nonzero alphas certifies the choice
-    assert not jac.submatrix((0, 1), cols).determinant().is_zero
-
-
-def test_select_columns_rank_deficiency():
-    with pytest.raises(ValueError, match="generic rank"):
-        select_independent_columns(matrix([["1", "1"], ["0", "0"]]), 2)
+    assert not jac.submatrix((0, 1), witness.cols).determinant().is_zero
+    kept = tuple(("x2", "x3", "x4")[c] for c in witness.cols)
+    assert reduce(f, "x1").kept_vars == kept
 
 
 # ------------------------------------------------------------ reduce
