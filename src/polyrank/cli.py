@@ -91,7 +91,10 @@ def _parse_sets(text: str, vars: VarSet, seed: int) -> list[tuple]:
     kind, _, n_text = text.partition(":")
     if kind not in _GENERATOR_KINDS:
         raise ValueError(f"unknown set kind {kind!r} (expected one of {', '.join(_GENERATOR_KINDS)})")
-    n = int(n_text)
+    try:
+        n = int(n_text)
+    except ValueError:
+        raise ValueError(f"set size must be an integer, got {n_text!r}") from None
     return [generate_set(SetSpec(kind, n, seed=_set_seed(seed, i))) for i in range(vars.k)]
 
 

@@ -11,7 +11,8 @@ their coefficient vectors, and the multiplicity of a curve is the number
 of surviving suffixes producing it.  Incidences between P = A_1 x B
 (B the image of f on the grid) and the curve family are counted
 exhaustively with exact arithmetic, B as the integer image of D * f over
-the cleared grid (see :mod:`polyrank.expansion`) and tested with D * y.
+the cleared grid (see :mod:`polyrank.expansion`) and each curve tested as
+D * y, in integers over the cleared x values.
 
 The counts are then compared against the classical point-line incidence
 bound m^(2/3) n^(2/3) + m + n and the refined bound for an s-dimensional
@@ -27,7 +28,7 @@ from itertools import product as iter_product
 from typing import Sequence
 
 from .expansion import DEFAULT_BUDGET, _cleared_grid, image_values
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, _as_scalar, _cleared
 from .rank import coefficient_map, generic_rank_exact, jacobian
 
 CoeffVector = tuple[Scalar, ...]
@@ -118,7 +119,7 @@ def build_instance(
         # Scatter into the dense coefficient vector that identifies the curve.
         dense = dense_zero[:]
         for e, alpha in zip(cm.exponents, cm.alphas):
-            dense[e] = alpha.eval(point)
+            dense[e] = _as_scalar(alpha.eval(point))
         coeffs = tuple(dense)
         curve_mult[coeffs] = curve_mult.get(coeffs, 0) + 1
 
@@ -130,17 +131,23 @@ def build_instance(
     # Exhaustive incidence count between P = A_1 x B and the curves.  Points
     # sharing an x coordinate are tested together: the curve value at x is
     # computed once and membership in {y : (x, y) in P} = B is a hash lookup,
-    # which is exactly the |P| * |C| pairwise test, grouped.  A curve is
-    # evaluated on its nonzero coefficients only, all at exponents of the map.
+    # which is exactly the |P| * |C| pairwise test, grouped.  The test runs on
+    # the cleared grid: y is in B exactly when scale * y is in the image, and
+    # scale * y = sum_e k_e X^e at X = d1 * x, where k_e = scale * c_e / d1^e
+    # is the coefficient of X^e in the cleared f at the cleared suffix, an
+    # integer (so the floor division is exact).  A curve is evaluated on its
+    # nonzero coefficients only, all at exponents of the map, whose powers of
+    # each X and of d1 are computed once for every curve.
     incidence_count = 0
+    xs, d1 = _cleared(a1)
+    powers = [{e: x**e for e in cm.exponents} for x in xs]
+    d1_powers = {e: d1**e for e in cm.exponents}
     for coeffs in curves:
-        nonzero = [(e, coeffs[e]) for e in cm.exponents if coeffs[e]]
-        if scale != 1:  # y is in B exactly when scale * y is in the image
-            nonzero = [(e, scale * c) for e, c in nonzero]
-        for x in a1:
+        nonzero = [(e, scale * coeffs[e] // d1_powers[e]) for e in cm.exponents if coeffs[e]]
+        for x_powers in powers:
             y = 0
-            for e, c in nonzero:
-                y += c * x**e
+            for e, k in nonzero:
+                y += k * x_powers[e]
             if y in image:
                 incidence_count += 1
 

@@ -10,6 +10,12 @@ so the volume polynomial has full rank d with respect to x_{d+1}.  (The
 computed determinant sign depends on d and is recorded; the sign-free
 identity det(M)^2 = prod^2 is what gets asserted.)
 
+The summary checks these identities in Z: the products
+V_n = prod_{i<j<=n}(x_j - x_i) are expanded directly as the Vandermonde
+determinant det(x_i^(j-1)), one signed monomial per permutation, and the
+factorization, the determinant sign and the rank are read off V_{d+1}
+and V_d, whose scale 1/d! changes none of them.
+
 Distinct volumes of point sets on the curve are enumerated exactly: every
 (d+1)-subset of the parameters contributes (1/d!) * |prod of differences|.
 On the sorted parameters cleared to integers over their common denominator
@@ -37,10 +43,26 @@ def volume_vars(d: int) -> VarSet:
 
 
 def _vandermonde(vars: VarSet, count: int) -> Polynomial:
-    """prod_{1<=i<j<=count} (x_j - x_i) over the first ``count`` variables."""
-    xs = [Polynomial.variable(vars, name) for name in vars.names[:count]]
-    return math.prod((xs[j] - xs[i] for i in range(count) for j in range(i + 1, count)),
-                     start=Polynomial.constant(vars, 1))
+    """prod_{1<=i<j<=count} (x_j - x_i) over the first ``count`` variables,
+    expanded as det(x_i^(j-1)) = sum_sigma sgn(sigma) prod_i x_i^sigma(i).
+
+    Each permutation sigma gives its own monomial, so the sum has count!
+    terms and no cancellation.  Permutations are built one position at a
+    time from the exponents still free: taking the t-th smallest of them
+    adds t inversions, which fixes the sign on the way down.
+    """
+    pad = (0,) * (vars.k - count)
+    terms: dict[tuple[int, ...], int] = {}
+
+    def place(prefix: tuple[int, ...], free: tuple[int, ...], sign: int) -> None:
+        if not free:
+            terms[prefix + pad] = sign
+            return
+        for t, e in enumerate(free):
+            place(prefix + (e,), free[:t] + free[t + 1:], -sign if t & 1 else sign)
+
+    place((), tuple(range(count)), 1)
+    return Polynomial._raw(vars, terms)
 
 
 def volume_poly(d: int) -> Polynomial:
@@ -58,11 +80,6 @@ def vandermonde_matrix(d: int) -> PolyMatrix:
         x = Polynomial.variable(vars, vars.names[i])
         rows.append([x ** j for j in range(d + 1)])
     return PolyMatrix(vars, rows)
-
-
-def prefactor(d: int) -> Polynomial:
-    """(1/d!) * prod_{1<=i<j<=d} (x_j - x_i): the part without x_{d+1}."""
-    return _vandermonde(volume_vars(d), d) * Fraction(1, math.factorial(d))
 
 
 def symmetric_polys(d: int) -> tuple[Polynomial, ...]:
@@ -128,22 +145,27 @@ def verify_rank(d: int, method: str = "randomized", trials: int = 5, seed: int =
 
 
 def moment_summary(d: int) -> dict:
-    """One-stop summary of the symbolic identities for a given dimension:
-    the volume polynomial f, its x_{d+1}-free prefactor g, the symmetric
-    coefficients s_0..s_d of the root product, and the matrix M."""
-    f, g, s, m = volume_poly(d), prefactor(d), symmetric_polys(d), matrix_m(d)
-    pivot_power = Polynomial.variable(f.vars, f.vars.names[-1])
-    reconstruction = Polynomial.zero(f.vars)
-    power = Polynomial.constant(f.vars, 1)
+    """One-stop summary of the symbolic identities for a given dimension,
+    checked on V_{d+1} and V_d (see the module docstring): V_d times the
+    root product sum_l s_l x_{d+1}^l is V_{d+1}, det(M) is +-V_d, and
+    V_{d+1} has rank d in x_{d+1}.  f = V_{d+1} / d! is only printed."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    vars = volume_vars(d)
+    v_next, v_d = _vandermonde(vars, d + 1), _vandermonde(vars, d)
+    s, m = symmetric_polys(d), matrix_m(d)
+    pivot_power = Polynomial.variable(vars, vars.names[-1])
+    reconstruction = Polynomial.zero(vars)
+    power = Polynomial.constant(vars, 1)
     for s_l in s:
         reconstruction = reconstruction + s_l * power
         power = power * pivot_power
     return {
         "d": d,
-        "volume_poly": str(f),
-        "factorization_ok": g * reconstruction == f,
-        "det_m_sign": _det_sign(m.determinant(), g * math.factorial(d), d),
-        "rank_ok": rank_in(f, f.vars.names[-1]) == d,
+        "volume_poly": str(v_next * Fraction(1, math.factorial(d))),
+        "factorization_ok": v_d * reconstruction == v_next,
+        "det_m_sign": _det_sign(m.determinant(), v_d, d),
+        "rank_ok": rank_in(v_next, vars.names[-1]) == d,
     }
 
 

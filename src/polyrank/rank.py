@@ -30,6 +30,14 @@ subtract, exact divide and is-zero.  Two rank methods are provided:
   (number of pivots) / p.  A trial whose point has no residue (p divides
   a coefficient's denominator) is eliminated over Q instead.
 
+Both methods rank a rational f as its cleared multiple D*f, D the lcm of
+its coefficient denominators, unless p divides D.  D is then a unit of Q
+and of Z/p, and scaling a matrix by a unit scales each r-minor by D^r:
+every minor that was zero stays zero and no other becomes zero, so the
+elimination takes the same pivots and reports the same rank and witness,
+while the coefficient map, its partials, the evaluations and the
+elimination see integers only.  When p divides D, f is ranked as given.
+
 The degree of the polynomial entries never changes the contracts, only
 the running time.
 """
@@ -41,7 +49,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .poly import NEG_INF, Polynomial, Scalar, VarSet, exact_div
+from .poly import NEG_INF, Polynomial, Scalar, VarSet, _integral, exact_div
 
 #: Sampling half-width multiplier for randomized evaluation: coordinates are
 #: drawn from [-B, B] with B = 2^16 * (total degree + 1), keeping the
@@ -322,7 +330,12 @@ def _rank_in_with_witness(
     f: Polynomial, v: str, method: str, trials: int, seed: int
 ) -> tuple[int, Witness]:
     """:func:`rank_in` and its pivot minor: witness rows are labelled by
-    pivot exponent, columns index the non-pivot variables in order."""
+    pivot exponent, columns index the non-pivot variables in order.  A
+    rational f is ranked as its cleared multiple D*f unless PRIME divides
+    D (see the module docstring)."""
+    terms, scale = _integral(f.terms)
+    if scale % PRIME:
+        f = Polynomial._raw(f.vars, terms)
     cm = coefficient_map(f, v)
     m = jacobian(cm)
     if method == "exact":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product as iter_product
@@ -144,6 +145,13 @@ def embedded_rank_poly(rng: random.Random, vars: VarSet, r: int) -> Polynomial:
             p = p + rng.randint(-2, 2) * u
         f = f + p * x1 ** i
     return f
+
+
+def vandermonde_fold(vars: VarSet, count: int) -> Polynomial:
+    """prod_{1<=i<j<=count} (x_j - x_i), multiplied out one factor at a time."""
+    xs = [Polynomial.variable(vars, name) for name in vars.names[:count]]
+    return math.prod((xs[j] - xs[i] for i in range(count) for j in range(i + 1, count)),
+                     start=Polynomial.constant(vars, 1))
 
 
 def canonical_types(values) -> bool:

@@ -178,6 +178,16 @@ def test_explicit_sets_are_canonical_and_checked(capsys):
     assert err == "polyrank: error: explicit set 1, 2, 2 must list 3 distinct values\n"
 
 
+@pytest.mark.parametrize("command", ["incidence", "reduce"])
+@pytest.mark.parametrize("size", ["", "3.5", "three"])
+def test_non_integer_set_size_is_1(capsys, command, size):
+    argv = {"incidence": ("incidence", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3"),
+            "reduce": ("reduce", "--poly", "x1*x2 + x3 + x4", "--vars", "x1,x2,x3,x4", "--pivot", "x1")}
+    code, out, err = run_cli(capsys, *argv[command], "--sets", f"interval:{size}")
+    assert (code, out) == (1, "")
+    assert err == f"polyrank: error: set size must be an integer, got {size!r}\n"
+
+
 def test_incidence_budget_must_be_positive(capsys):
     code, _, err = run_cli(capsys, "incidence", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3",
                            "--sets", "interval:3", "--budget", "0")

@@ -23,9 +23,10 @@ from polyrank import (
     volume_expansion_report,
     volume_poly,
 )
-from polyrank.moment import prefactor, volume_vars
+from polyrank.moment import _vandermonde, volume_vars
+from polyrank.rank import _randomized_rank, coefficient_map, jacobian
 
-from gens import canonical_types
+from gens import canonical_types, vandermonde_fold
 
 
 def test_volume_poly_low_dimensions():
@@ -79,27 +80,66 @@ def test_symmetric_polys_reconstruct_root_product():
         assert rebuilt == product_form
 
 
+def _root_product(vars, s):
+    """sum_l s_l x_{d+1}^l, the root product rebuilt from its coefficients."""
+    t = Polynomial.variable(vars, vars.names[-1])
+    return sum((s_l * t**level for level, s_l in enumerate(s)), Polynomial.zero(vars))
+
+
+def _prefactor(d):
+    """g = (1/d!) * prod_{1<=i<j<=d} (x_j - x_i), the part of f without x_{d+1}."""
+    return vandermonde_fold(volume_vars(d), d) * Fraction(1, math.factorial(d))
+
+
 def test_prefactor_times_root_product_is_volume():
     for d in range(1, 6):
+        assert _prefactor(d) * _root_product(volume_vars(d), symmetric_polys(d)) == volume_poly(d)
         assert moment_summary(d)["factorization_ok"]
 
 
 def test_moment_symbolic_cast():
     # the f, g, s and M that moment_summary checks, for d = 3
-    f, g, s, m = volume_poly(3), prefactor(3), symmetric_polys(3), matrix_m(3)
+    f, g, s, m = volume_poly(3), _prefactor(3), symmetric_polys(3), matrix_m(3)
     assert s[-1] == 1  # leading coefficient of the root product
     assert (m.rows, m.cols) == (3, 3)
     vars = f.vars
-    reconstruction = Polynomial.zero(vars)
-    power = Polynomial.constant(vars, 1)
-    t = Polynomial.variable(vars, vars.names[-1])
-    for s_l in s:
-        reconstruction = reconstruction + s_l * power
-        power = power * t
-    assert g * reconstruction == f
+    assert g * _root_product(vars, s) == f
     for i in range(3):
         for j in range(3):
             assert m.entries[i][j] == s[i].partial(vars.names[j])
+
+
+def test_vandermonde_expansion_matches_product():
+    wide = volume_vars(7)
+    for count in range(8):
+        for vars in (wide, volume_vars(max(count - 1, 1))):
+            expanded = _vandermonde(vars, count)
+            assert expanded == vandermonde_fold(vars, count)
+            assert len(expanded.terms) == math.factorial(count)
+            assert canonical_types(expanded.terms.values())
+
+
+def _fraction_summary(d):
+    """moment_summary(d) computed on the rational f = V_{d+1}/d! and
+    g = V_d/d!, with the products multiplied out and the rank taken on
+    the Jacobian of f itself."""
+    vars = volume_vars(d)
+    scale = Fraction(1, math.factorial(d))
+    f, g = vandermonde_fold(vars, d + 1) * scale, vandermonde_fold(vars, d) * scale
+    det, v_d = matrix_m(d).determinant(), g * math.factorial(d)
+    r, _ = _randomized_rank(jacobian(coefficient_map(f, vars.names[-1])), 5, 0)
+    return {
+        "d": d,
+        "volume_poly": str(f),
+        "factorization_ok": g * _root_product(vars, symmetric_polys(d)) == f,
+        "det_m_sign": 1 if det == v_d else -1 if det == -v_d else None,
+        "rank_ok": r == d,
+    }
+
+
+def test_moment_summary_matches_fraction_reference():
+    for d in range(1, 7):
+        assert moment_summary(d) == _fraction_summary(d)
 
 
 def test_matrix_m_small_cases():

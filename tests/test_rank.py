@@ -1,5 +1,6 @@
 """Coefficient maps, Jacobians, and generic rank (exact and randomized)."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -546,6 +547,50 @@ def test_prime_denominator_takes_the_rational_path():
         for seed in range(3):
             assert _randomized_rank(jac, 5, seed) == _rational_randomized_rank(jac, 5, seed)
             assert rank(f, seed=seed).to_json_dict() == _rational_rank_json(f, 5, seed)
+
+
+def _uncleared_rank_json(f, method, trials, seed):
+    """rank(f, ...).to_json_dict() on the sparse Jacobians of f itself,
+    with no clearing of denominators."""
+    def rank_of(v, s):
+        cm = coefficient_map(f, v)
+        r, w = _dense_rank_with_witness(jacobian(cm), method, trials, s)
+        return r, w._replace(rows=tuple(cm.exponents[i] for i in w.rows))
+
+    return _report_json(f, method, trials, seed, rank_of)
+
+
+def _rational_corpus():
+    rng = random.Random(2612)
+    polys = []
+    for case in range(12):
+        vars = var_set(3 + case % 2)
+        f = CORPORA[sorted(CORPORA)[case % 3]](rng, vars)
+        scale = Fraction(rng.choice([1, 2, -5, 7]), rng.choice([2, 3, 12, 35, PRIME + 1]))
+        term = tuple(rng.randint(0, 3) for _ in vars.names)
+        polys.append(f * scale + Polynomial(vars, {term: Fraction(1, rng.choice([4, 9, 10]))}))
+    polys += [P("x1*x3 + x2*x3^2") + Polynomial(V3, {(1, 1, 2): Fraction(1, PRIME)}),
+              P("1/2*x1^3*x2 + 2/7*x1*x3^2 + 5/3*x2^2*x3") + Polynomial(V3, {(2, 0, 1): Fraction(3, PRIME)})]
+    return polys
+
+
+@pytest.mark.parametrize("method", ["exact", "randomized"])
+def test_cleared_rank_matches_uncleared_jacobians(method, monkeypatch):
+    # rank clears a rational f to D*f unless PRIME divides D; ranks and
+    # witnesses must be those of the Jacobians of f itself
+    integral_maps = []
+
+    def spy(f, v):
+        integral_maps.append(all(type(c) is int for c in f.terms.values()))
+        return coefficient_map(f, v)
+
+    monkeypatch.setattr(importlib.import_module("polyrank.rank"), "coefficient_map", spy)
+    for case, f in enumerate(_rational_corpus()):
+        assert any(type(c) is Fraction for c in f.terms.values())
+        integral_maps.clear()
+        assert rank(f, method=method, seed=case).to_json_dict() == _uncleared_rank_json(f, method, 5, case)
+        prime_denominator = any(c.denominator % PRIME == 0 for c in f.terms.values())
+        assert integral_maps == [not prime_denominator] * f.vars.k
 
 
 def test_randomized_trials_evaluate_modulo_prime(monkeypatch):
