@@ -98,6 +98,14 @@ def _parse_sets(text: str, vars: VarSet, seed: int) -> list[tuple]:
     return [generate_set(SetSpec(kind, n, seed=_set_seed(seed, i))) for i in range(vars.k)]
 
 
+def _parse_n(text: str) -> list[int]:
+    """The set sizes of a comma-separated ``--n`` value."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--n must be comma-separated integers, got {text!r}") from None
+
+
 def _emit(document: dict) -> None:
     payload = {"spec_version": SPEC_VERSION}
     payload.update(document)
@@ -135,7 +143,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_expand(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
     if args.degenerate is not None:
-        n_values = [int(v) for v in args.n.split(",")] if args.n else []
+        n_values = _parse_n(args.n) if args.n else []
         if len(n_values) != 1:
             raise ValueError("--degenerate expects exactly one value in --n")
         _emit(degenerate_demo(args.degenerate, n_values[0], seed=args.seed, budget=budget))
@@ -144,7 +152,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         raise ValueError("--poly, --vars and --n are required unless --degenerate is given")
     vars = _parse_vars(args.vars)
     f = parse(args.poly, vars)
-    n_list = [int(v) for v in args.n.split(",")]
+    n_list = _parse_n(args.n)
     report = expansion_report(f, args.sets, n_list, seed=args.seed, budget=budget)
     if args.output == "csv":
         sys.stdout.write(report.to_csv_text())
@@ -172,7 +180,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         _emit(distinct_volumes(params, args.d, signed=args.signed).to_json_dict())
         return 0
     if args.n:
-        n_list = [int(v) for v in args.n.split(",")]
+        n_list = _parse_n(args.n)
         _emit(volume_expansion_report(n_list, args.sets, args.d, seed=args.seed, signed=args.signed))
         return 0
     raise ValueError("moment needs one of --points, --n, or --summary")

@@ -15,8 +15,8 @@ coefficients, the sweep enumerates the integer grid
 D_1*A_1 x ... x D_k*A_k under F(y) = D * f(y_1/D_1, ..., y_k/D_k), where
 D = c * prod D_i^deg_i(f) makes every coefficient of F an integer.
 Dividing by D is injective, so :func:`image_size` counts the values of F
-and ``build_instance`` tests D * y against them, in integers; only
-:func:`image_values` divides each distinct value by D, once at the end.
+in integers; only :func:`image_values` divides each distinct value by D,
+once at the end.  No other module clears a grid.
 The innermost variable is the one of lowest degree in f, then in the
 fewest terms, then of lowest index; a variable f does not contain drops
 out.  The outer prefixes are substituted into the sparse term map, the
@@ -193,7 +193,8 @@ def _residuals(
 def _cleared_grid(f: Polynomial, sets: Sequence[Sequence[Scalar]], budget: int) -> tuple[Polynomial, Sequence, int]:
     """``(F, grids, D)`` with F(y) = D * f(y_1 / D_1, ..., y_k / D_k) over
     the integer grids D_i * A_i (see the module docstring); ``(f, sets, 1)``
-    when both are integral already.  Checks the grid against ``budget``."""
+    when both are integral already.  Checks the grid against ``budget``.
+    Private to :func:`image_values` and :func:`image_size`."""
     k = f.vars.k
     if len(sets) != k:
         raise ValueError(f"need {k} sets, got {len(sets)}")

@@ -9,10 +9,11 @@ Every surviving suffix defines a plane curve y = sum_i alpha_i(suffix) x^i
 through its grid points; curves are deduplicated by exact equality of
 their coefficient vectors, and the multiplicity of a curve is the number
 of surviving suffixes producing it.  Incidences between P = A_1 x B
-(B the image of f on the grid) and the curve family are counted
-exhaustively with exact arithmetic, B as the integer image of D * f over
-the cleared grid (see :mod:`polyrank.expansion`) and each curve tested as
-D * y, in integers over the cleared x values.
+(B the image of f on the grid, counted by
+:func:`polyrank.expansion.image_size`) and the curve family follow from
+the construction, not from a test of each pair: the curve of a suffix s is
+the graph of x -> f(x, s), whose values over A_1 all lie in B, so every
+curve meets P in exactly |A_1| points.
 
 The counts are then compared against the classical point-line incidence
 bound m^(2/3) n^(2/3) + m + n and the refined bound for an s-dimensional
@@ -23,12 +24,13 @@ constants are not specified, so no pass/fail is attached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Sequence
 
-from .expansion import DEFAULT_BUDGET, _cleared_grid, image_values
-from .poly import Polynomial, Scalar, _as_scalar, _cleared
+from .expansion import DEFAULT_BUDGET, image_size
+from .poly import Polynomial, Scalar, _as_scalar
 from .rank import coefficient_map, generic_rank_exact, jacobian
 
 CoeffVector = tuple[Scalar, ...]
@@ -96,23 +98,16 @@ def build_instance(
     if minor_det.is_zero:
         raise ValueError("the selected minor is singular; pick independent coefficient rows")
 
-    suffix_sets = [list(s) for s in sets[1:]]
-    suffix_count = 1
-    for s in suffix_sets:
-        suffix_count *= len(s)
-    a1 = list(sets[0])
-    s_size = suffix_count * len(a1)
-    cleared_f, grids, scale = _cleared_grid(f, sets, budget)
-    image = image_values(cleared_f, grids, budget=budget)  # scale * (the image of f)
+    a1_size = len(sets[0])
+    suffix_count = math.prod(len(s) for s in sets[1:])
+    image_count = image_size(f, sets, budget=budget)  # |B|
 
     # Classify suffixes by the minor determinant and collect curves.
-    non_pivot = [name for name in vars.names if name != pivot]
     degenerate_suffixes = 0
     curve_mult: dict[CoeffVector, int] = {}
     dense_zero = [0] * (cm.degree + 1)
-    for suffix in iter_product(*suffix_sets):
-        bindings = dict(zip(non_pivot, suffix))
-        point = [bindings.get(name, 0) for name in vars.names]
+    for suffix in iter_product(*sets[1:]):
+        point = [0, *suffix]  # the pivot is the first variable
         if minor_det.eval(point) == 0:
             degenerate_suffixes += 1
             continue
@@ -123,45 +118,24 @@ def build_instance(
         coeffs = tuple(dense)
         curve_mult[coeffs] = curve_mult.get(coeffs, 0) + 1
 
-    s0_size = degenerate_suffixes * len(a1)
-    sprime_size = (suffix_count - degenerate_suffixes) * len(a1)
     curves = tuple(sorted(curve_mult))
     multiplicities = tuple(curve_mult[c] for c in curves)
-
-    # Exhaustive incidence count between P = A_1 x B and the curves.  Points
-    # sharing an x coordinate are tested together: the curve value at x is
-    # computed once and membership in {y : (x, y) in P} = B is a hash lookup,
-    # which is exactly the |P| * |C| pairwise test, grouped.  The test runs on
-    # the cleared grid: y is in B exactly when scale * y is in the image, and
-    # scale * y = sum_e k_e X^e at X = d1 * x, where k_e = scale * c_e / d1^e
-    # is the coefficient of X^e in the cleared f at the cleared suffix, an
-    # integer (so the floor division is exact).  A curve is evaluated on its
-    # nonzero coefficients only, all at exponents of the map, whose powers of
-    # each X and of d1 are computed once for every curve.
-    incidence_count = 0
-    xs, d1 = _cleared(a1)
-    powers = [{e: x**e for e in cm.exponents} for x in xs]
-    d1_powers = {e: d1**e for e in cm.exponents}
-    for coeffs in curves:
-        nonzero = [(e, scale * coeffs[e] // d1_powers[e]) for e in cm.exponents if coeffs[e]]
-        for x_powers in powers:
-            y = 0
-            for e, k in nonzero:
-                y += k * x_powers[e]
-            if y in image:
-                incidence_count += 1
+    # The curve of a suffix s is the graph of x -> f(x, s), and f(x, s) is in
+    # B for every x in A_1, so each curve meets P = A_1 x B in exactly |A_1|
+    # points: an identity of this construction, not an incidence algorithm.
+    incidence_count = a1_size * len(curves)
 
     return IncidenceInstance(
         f=f,
         set_sizes=tuple(len(s) for s in sets),
-        image_size=len(image),
+        image_size=image_count,
         witness_rows=minor_rows,
-        s_size=s_size,
-        s0_size=s0_size,
-        sprime_size=sprime_size,
+        s_size=suffix_count * a1_size,
+        s0_size=degenerate_suffixes * a1_size,
+        sprime_size=(suffix_count - degenerate_suffixes) * a1_size,
         curves=curves,
         multiplicities=multiplicities,
-        points_size=len(a1) * len(image),
+        points_size=a1_size * image_count,
         incidence_count=incidence_count,
         max_multiplicity=max(multiplicities, default=0),
     )

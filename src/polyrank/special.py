@@ -164,8 +164,9 @@ def ratio_separated(f: Polynomial, i: str, j: str, method: str = "exact", seed: 
     h = f.partial(j)
     if g.is_zero or h.is_zero:
         raise ValueError("both partial derivatives must be nonzero")
-    g_i, g_j, g_ij = g.partial(i), g.partial(j), g.partial(i).partial(j)
-    h_i, h_j, h_ij = h.partial(i), h.partial(j), h.partial(i).partial(j)
+    g_i, g_j = g.partial(i), g.partial(j)
+    h_i, h_j = h.partial(i), h.partial(j)
+    g_ij, h_ij = g_i.partial(j), h_i.partial(j)
     degree = 2 * (_degree_or_zero(g) + _degree_or_zero(h))
     return _identity_holds((g, g_ij, g_i, g_j, h, h_ij, h_i, h_j), _separation_sides, degree, method, seed)
 

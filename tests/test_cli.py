@@ -132,6 +132,18 @@ def test_expand_without_n_is_1():
     assert "--n" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3", "--sets", "interval"),
+    ("expand", "--degenerate", "2"),
+    ("moment", "--d", "2"),
+])
+@pytest.mark.parametrize("n", ["4,abc,8", "4,,8", "3.5"])
+def test_malformed_n_is_1(capsys, argv, n):
+    code, out, err = run_cli(capsys, *argv, "--n", n)
+    assert (code, out) == (1, "")
+    assert err == f"polyrank: error: --n must be comma-separated integers, got {n!r}\n"
+
+
 @pytest.mark.parametrize("flag", ["--workers", "--budget"])
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_nonpositive_count_flags_are_usage_errors(capsys, flag, value):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from polyrank import (
     Polynomial,
@@ -151,8 +152,9 @@ def test_high_degree_rational_instance_matches_brute_oracle():
                            [Fraction(1, 2), Fraction(1, 11), 2], [Fraction(1, 4), Fraction(6, 7), 5]]),
 ])
 def test_rational_sets_match_fraction_image(f, sets):
-    # build_instance tests D * y in the integer image; the reference tests y
-    # in the Fraction image, and every other field must match as well
+    # build_instance counts the image over the cleared integer grid and takes
+    # incidences from the |A_1| * |curves| identity; the reference tests each
+    # curve value y in the Fraction image, and every other field must match
     inst = build_instance(f, sets)
     image = image_values(f, sets)
     incidences = sum(
@@ -164,6 +166,45 @@ def test_rational_sets_match_fraction_image(f, sets):
     assert (inst.s_size, inst.s0_size, inst.sprime_size) == (expected["S"], expected["S0"], expected["Sprime"])
     assert dict(zip(inst.curves, inst.multiplicities)) == expected["curves"]
     assert incidences == expected["incidences"]
+
+
+scalars = st.one_of(st.integers(-6, 6), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+coefficients = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+)
+#: Longest set per k, so the brute oracle's |C| * |A_1| * |B| tests stay small.
+MAX_SET = {3: 4, 4: 3}
+
+
+@st.composite
+def incidence_cases(draw):
+    """A polynomial in k = 3 or 4 variables with exponents up to 3 and int
+    or Fraction coefficients, and one list per variable of int, Fraction
+    or mixed values, duplicates allowed."""
+    k = draw(st.integers(3, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * k)
+    terms = draw(st.dictionaries(exponents, coefficients, min_size=k - 1, max_size=6))
+    sets = [draw(st.lists(scalars, min_size=1, max_size=MAX_SET[k])) for _ in range(k)]
+    return Polynomial(var_set(k), terms), sets
+
+
+@settings(deadline=None, max_examples=300)
+@given(incidence_cases())
+def test_incidence_count_is_a1_times_curves(case):
+    # every curve is the graph of x -> f(x, suffix) over A_1, so it meets
+    # P = A_1 x B in |A_1| points; the oracle tests every pair instead
+    f, sets = case
+    try:
+        inst = build_instance(f, sets)
+    except ValueError as exc:
+        if str(exc).startswith("rank with respect to"):  # no certifying minor
+            reject()
+        raise
+    expected = brute_instance(f, sets, inst.witness_rows)
+    assert inst.incidence_count == len(sets[0]) * len(inst.curves) == expected["incidences"]
+    assert (inst.s_size, inst.s0_size, inst.sprime_size) == (expected["S"], expected["S0"], expected["Sprime"])
+    assert dict(zip(inst.curves, inst.multiplicities)) == expected["curves"]
 
 
 def test_all_degenerate_instance_is_empty():
