@@ -98,12 +98,13 @@ def _parse_sets(text: str, vars: VarSet, seed: int) -> list[tuple]:
     return [generate_set(SetSpec(kind, n, seed=_set_seed(seed, i))) for i in range(vars.k)]
 
 
-def _parse_n(text: str) -> list[int]:
-    """The set sizes of a comma-separated ``--n`` value."""
+def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
+    """The values of a comma-separated ``flag`` value (``--n``, ``--points``),
+    each read by ``kind``; ``noun`` names them in the error message."""
     try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ValueError(f"--n must be comma-separated integers, got {text!r}") from None
+        return [kind(v) for v in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be comma-separated {noun}, got {text!r}") from None
 
 
 def _emit(document: dict) -> None:
@@ -123,7 +124,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_special(args: argparse.Namespace) -> int:
     vars = _parse_vars(args.vars)
     f = parse(args.poly, vars)
-    verdict = is_special(f, method=args.method, trials=args.trials, seed=args.seed)
+    verdict = is_special(f, method=args.method, seed=args.seed)
     _emit(verdict.to_json_dict())
     return 0
 
@@ -143,7 +144,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_expand(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
     if args.degenerate is not None:
-        n_values = _parse_n(args.n) if args.n else []
+        n_values = _parse_list(args.n, "--n", int, "integers") if args.n else []
         if len(n_values) != 1:
             raise ValueError("--degenerate expects exactly one value in --n")
         _emit(degenerate_demo(args.degenerate, n_values[0], seed=args.seed, budget=budget))
@@ -152,7 +153,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         raise ValueError("--poly, --vars and --n are required unless --degenerate is given")
     vars = _parse_vars(args.vars)
     f = parse(args.poly, vars)
-    n_list = _parse_n(args.n)
+    n_list = _parse_list(args.n, "--n", int, "integers")
     report = expansion_report(f, args.sets, n_list, seed=args.seed, budget=budget)
     if args.output == "csv":
         sys.stdout.write(report.to_csv_text())
@@ -176,11 +177,11 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         _emit(moment_summary(args.d))
         return 0
     if args.points:
-        params = [Fraction(v) for v in args.points.split(",")]
+        params = _parse_list(args.points, "--points", Fraction, "rationals")
         _emit(distinct_volumes(params, args.d, signed=args.signed).to_json_dict())
         return 0
     if args.n:
-        n_list = _parse_n(args.n)
+        n_list = _parse_list(args.n, "--n", int, "integers")
         _emit(volume_expansion_report(n_list, args.sets, args.d, seed=args.seed, signed=args.signed))
         return 0
     raise ValueError("moment needs one of --points, --n, or --summary")
@@ -212,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="identity-testing mode (randomized avoids expanding large products)",
     )
-    p_special.add_argument("--trials", type=_positive_int, default=5, help="rank-engine trials")
+    p_special.add_argument("--trials", type=_positive_int, default=5,
+                           help="accepted for compatibility and ignored: rank 1 is decided exactly")
     p_special.add_argument("--seed", type=int, default=0)
 
     p_reduce = sub.add_parser("reduce", help="rank-preserving variable reduction")

@@ -21,14 +21,20 @@ after clearing denominators:
 
 ``is_special`` decides them in this order:
 
-1. The randomized rank report gives rank_m(f) for each pivot x_m.
-2. Each pivot it puts at rank <= 1 gets an exact test that the Jacobian
-   J_m of the coefficient map in x_m has rank <= 1 (a randomized rank of
-   2 or more is already proved).  These ranks certify identities:
-   rank J_m <= 1 makes f_i = Lambda(x_m, ...) * u_i for every i != m, so
-   f_i / f_j = u_i / u_j is free of x_m; rank J_i, rank J_j <= 1 make
-   f_i / f_j = (f_i / f_m) / (f_j / f_m) an x_j-free part over an x_i-free
-   part, so its mixed logarithmic derivative vanishes.
+1. One randomized rank trial per pivot x_m screens the Jacobian J_m of
+   the coefficient map in x_m; a rank of 2 or more there is proved.
+2. Each pivot the screen puts at rank <= 1 gets an exact test that J_m
+   has rank <= 1.  ``rank1`` is a pass at every pivot: J_m is never zero
+   when f depends on every variable (f would involve x_m alone), so the
+   passes prove rank(f) = 1, and a screen at 2 or a failed test proves
+   rank(f) >= 2.  A screen that misses a rank-2 pivot only sends it to
+   the exact test, so no verdict depends on chance.  The passes also
+   certify identities: rank J_m <= 1 makes f_i = Lambda(x_m, ...) * u_i
+   for every i != m, so f_i / f_j = u_i / u_j is free of x_m;
+   rank J_i, rank J_j <= 1 make f_i / f_j = (f_i / f_m) / (f_j / f_m) an
+   x_j-free part over an x_i-free part, so its mixed logarithmic
+   derivative vanishes.  When ``rank1`` holds every pair check is
+   certified; the identities left make the per-pair report.
 3. Each identity left is evaluated at seeded random integer points,
    comparing residues modulo the prime 2^61 - 1 (exact rationals when the
    prime divides a coefficient's denominator); a mismatch proves the
@@ -197,23 +203,16 @@ def _rank_at_most_one(f: Polynomial, m: str) -> bool:
     )
 
 
-def is_special(
-    f: Polynomial,
-    method: str = "exact",
-    trials: int = 5,
-    seed: int = 0,
-) -> SpecialFormVerdict:
+def is_special(f: Polynomial, method: str = "exact", seed: int = 0) -> SpecialFormVerdict:
     """Full special-form verdict for a polynomial in at least 3 variables.
 
-    ``special`` requires rank(f) == 1, dependence on every variable, and
-    every pairwise independence/separation identity to hold; the rank
-    comes from the randomized engine with ``trials`` trials and is taken
-    first.  Pivots it puts at rank <= 1 get the exact rank <= 1 test, whose
-    passes certify identities; the identities left are refuted modulo a
-    prime and, in ``exact`` mode, expanded if they survive (see the module
-    docstring).  For inputs depending on all variables the identity checks
-    agree with rank(f) == 1, so a disagreement would indicate a bug rather
-    than a boundary case.
+    ``rank1`` is the exact certificate: every pivot passes the rank <= 1
+    test of its Jacobian, after one randomized rank trial per pivot has
+    screened out the pivots it proves to have rank 2 or more.  ``special``
+    is ``rank1`` on a polynomial that depends on every variable.  The pair
+    checks are the per-pair report: identities the passes certify hold,
+    and the rest are refuted modulo a prime and, in ``exact`` mode,
+    expanded if they survive (see the module docstring).
     """
     if f.vars.k < 3:
         raise ValueError("special-form detection needs at least 3 variables")
@@ -223,10 +222,9 @@ def is_special(
             rank1=False, depends_on_all=False, pair_checks={}, verdict="degenerate"
         )
     names = f.vars.names
-    report = rank(f, method="randomized", trials=trials, seed=seed)
-    low = {m for m in names if report.per_variable[m] <= 1 and _rank_at_most_one(f, m)}
+    screen = rank(f, method="randomized", trials=1, seed=seed)
+    low = {m for m in names if screen.per_variable[m] <= 1 and _rank_at_most_one(f, m)}
     checks: dict[tuple[str, str], PairCheck] = {}
-    all_ok = True
     for i, j in combinations(names, 2):
         indep = all(
             m in low or ratio_independent_of(f, i, j, m, method=method, seed=seed)
@@ -235,9 +233,8 @@ def is_special(
         )
         sep = (i in low and j in low) or ratio_separated(f, i, j, method=method, seed=seed)
         checks[(i, j)] = PairCheck(independence_ok=indep, separation_ok=sep)
-        all_ok = all_ok and indep and sep
-    rank1 = report.overall == 1
-    verdict = "special" if (rank1 and all_ok) else "not_special"
+    rank1 = len(low) == len(names)
+    verdict = "special" if rank1 else "not_special"
     return SpecialFormVerdict(
         rank1=rank1, depends_on_all=True, pair_checks=checks, verdict=verdict
     )

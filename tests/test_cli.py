@@ -144,6 +144,23 @@ def test_malformed_n_is_1(capsys, argv, n):
     assert err == f"polyrank: error: --n must be comma-separated integers, got {n!r}\n"
 
 
+@pytest.mark.parametrize("points", ["0,abc,2", "1/0,1,2", "0,,2"])
+def test_malformed_points_is_1(capsys, points):
+    code, out, err = run_cli(capsys, "moment", "--d", "2", "--points", points)
+    assert (code, out) == (1, "")
+    assert err == f"polyrank: error: --points must be comma-separated rationals, got {points!r}\n"
+
+
+@pytest.mark.parametrize("poly", ["(x1+2*x2+x3)^12 + x1*x2^2", "x1*x2 + x3"])
+def test_special_ignores_trials(capsys, poly):
+    argv = ("special", "--poly", poly, "--vars", "x1,x2,x3")
+    outputs = {run_cli(capsys, *argv, *trials) for trials in ((), ("--trials", "1"), ("--trials", "9"))}
+    assert len(outputs) == 1
+    ((code, out, err),) = outputs
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "not_special"
+
+
 @pytest.mark.parametrize("flag", ["--workers", "--budget"])
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_nonpositive_count_flags_are_usage_errors(capsys, flag, value):

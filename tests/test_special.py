@@ -344,3 +344,53 @@ def test_certified_identities_hold_when_expanded(monkeypatch):
                 assert ratio_separated(f, i, j), (label, i, j)
                 certified += 1
     assert certified > 0
+
+
+V4 = var_set(4)
+
+
+def _rank1_inputs():
+    """Inputs depending on every variable: each IDENTITY_CORPORA draw, the
+    first criterion-3 specials and perturbed inputs, and k = 4 draws."""
+    rng = random.Random(2610)
+    inputs = [(f"{corpus}-{case}", IDENTITY_CORPORA[corpus](rng), case)
+              for corpus in sorted(IDENTITY_CORPORA) for case in range(8)]
+    inputs += list(_criterion_3_specials(12))
+    rng = random.Random(0x5EED)
+    inputs += [(f"criterion-3-perturbed-{case}", perturbed_special(rng, V3, seed=1000 + case), 1000 + case)
+               for case in range(12)]
+    rng = random.Random(2611)
+    for case in range(4):
+        inputs.append((f"k4-special-{case}", random_special(rng, V4, multiplicative=case % 2 == 0, max_deg=2), case))
+        inputs.append((f"k4-perturbed-{case}", perturbed_special(rng, V4, seed=case), case))
+        inputs.append((f"k4-dense-{case}", dense_random_polynomial(rng, V4, max_deg=2), case))
+    return [(label, f, seed) for label, f, seed in inputs if depends_on_all(f)]
+
+
+def test_rank1_is_the_exact_rank_and_the_independence_identities():
+    # rank J_m <= 1 exactly when the 2x2 minors of J_m vanish, which is
+    # each independence identity (i, j, m) in columns i and j
+    inputs = _rank1_inputs()
+    assert {label.split("-")[0] for label, _, _ in inputs} >= {"dense", "special", "criterion", "k4"}
+    for label, f, seed in inputs:
+        rank1 = rank(f, method="exact").overall == 1
+        for method in ("exact", "randomized"):
+            verdict = is_special(f, method=method, seed=seed)
+            assert verdict.rank1 == rank1, (label, method)
+            assert verdict.rank1 == all(c.independence_ok for c in verdict.pair_checks.values()), (label, method)
+            assert verdict.verdict == ("special" if rank1 else "not_special"), (label, method)
+
+
+def test_rank_screen_is_one_trial(monkeypatch):
+    calls = []
+    original = special_module.rank
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(special_module, "rank", spy)
+    for text in ("(x1 + x2^2 + x3^3)^3", "x1*x2 + x3"):
+        calls.clear()
+        is_special(P(text), seed=7)
+        assert calls == [{"method": "randomized", "trials": 1, "seed": 7}], text
