@@ -178,6 +178,10 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         return 0
     if args.points:
         params = _parse_list(args.points, "--points", Fraction, "rationals")
+        if len(set(params)) != len(params):
+            raise ValueError(f"--points must be distinct rationals, got {args.points!r}")
+        if len(params) <= args.d:
+            raise ValueError(f"--points needs at least d+1 = {args.d + 1} rationals, got {args.points!r}")
         _emit(distinct_volumes(params, args.d, signed=args.signed).to_json_dict())
         return 0
     if args.n:

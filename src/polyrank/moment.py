@@ -6,15 +6,19 @@ determinant, i.e. (1/d!) * prod_{i<j} (x_j - x_i).  Factoring out the part
 independent of x_{d+1} leaves prod_k (x_{d+1} - x_k), whose coefficients
 s_0, ..., s_d are signed elementary symmetric polynomials; the d x d matrix
 M of their partials in x_1..x_d has determinant +-prod_{i<j<=d}(x_j - x_i),
-so the volume polynomial has full rank d with respect to x_{d+1}.  (The
-computed determinant sign depends on d and is recorded; the sign-free
-identity det(M)^2 = prod^2 is what gets asserted.)
+so the volume polynomial has full rank d with respect to x_{d+1}.
 
 The summary checks these identities in Z: the products
 V_n = prod_{i<j<=n}(x_j - x_i) are expanded directly as the Vandermonde
 determinant det(x_i^(j-1)), one signed monomial per permutation, and the
-factorization, the determinant sign and the rank are read off V_{d+1}
-and V_d, whose scale 1/d! changes none of them.
+factorization and the rank are read off V_{d+1} and V_d, whose scale 1/d!
+changes none of them.  The determinant sign comes from a certificate that
+needs no determinant of M: with W the d x d Vandermonde matrix with rows
+(1, x_i, ..., x_i^(d-1)), whose determinant is V_d, every entry of W*M is
+a product of linear forms, zero off the diagonal, and comparing each entry
+with its product pins det(M) = (-1)^(d(d+1)/2) * V_d (see
+:func:`_det_m_certificate`).  ``det_m`` and ``det_m_sign`` still compute
+the determinant itself.
 
 Distinct volumes of point sets on the curve are enumerated exactly: every
 (d+1)-subset of the parameters contributes (1/d!) * |prod of differences|.
@@ -120,17 +124,48 @@ def det_m_sign(d: int) -> int:
 
     Both polynomials agree up to sign (their squares are identical); the
     sign itself depends on d and is worth recording since it is easy to
-    drop in hand computations.
+    drop in hand computations.  :func:`_det_m_certificate` proves the
+    same sign without the determinant.
     """
-    return _det_sign(det_m(d), _vandermonde(volume_vars(d), d), d)
-
-
-def _det_sign(det: Polynomial, vandermonde: Polynomial, d: int) -> int:
+    det, vandermonde = det_m(d), _vandermonde(volume_vars(d), d)
     if det == vandermonde:
         return 1
     if det == -vandermonde:
         return -1
     raise AssertionError(f"det(M) is not +-Vandermonde for d={d}")
+
+
+def _det_m_certificate(m: PolyMatrix) -> int:
+    """The sign s with det(M) = s * V_d, proved by products alone.
+
+    Let W be the d x d matrix with rows (1, x_i, ..., x_i^(d-1)); its
+    determinant is V_d, the Leibniz sum :func:`_vandermonde` expands.
+    Column j of M holds ds_l/dx_j, and sum_l ds_l/dx_j * t^l is
+    d/dx_j prod_k (t - x_k) = -prod_{k != j} (t - x_k), so
+    (W*M)_ij = -prod_{k != j} (x_i - x_k): zero off the diagonal, where the
+    factor x_i - x_i vanishes.  Each pair i < j gives the diagonal
+    -(x_j - x_i)^2, so det(W*M) = (-1)^(d + d(d-1)/2) * V_d^2 and
+    det(M) = (-1)^(d(d+1)/2) * V_d.  Every entry of W*M, d shifts of M's
+    terms by a power of x_i, is compared exactly with its product; a
+    mismatch raises.  Nothing is divided or eliminated.
+    """
+    d, vars = m.rows, m.vars
+    xs = [Polynomial.variable(vars, name) for name in vars.names[:d]]
+    for i in range(d):
+        for j in range(d):
+            entry: dict[tuple[int, ...], int] = {}
+            for power in range(d):
+                for mono, c in m.entries[power][j].terms.items():
+                    key = mono[:i] + (mono[i] + power,) + mono[i + 1:]
+                    entry[key] = entry.get(key, 0) + c
+            if i == j:
+                expected = math.prod((xs[i] - xs[k] for k in range(d) if k != j),
+                                     start=Polynomial.constant(vars, -1)).terms
+            else:
+                expected = {}
+            if {key: c for key, c in entry.items() if c} != expected:
+                raise AssertionError(f"(W*M)[{i}][{j}] is not -prod_(k != {j})(x_{i + 1} - x_k) for d={d}")
+    return (-1) ** (d * (d + 1) // 2)
 
 
 def verify_rank(d: int, method: str = "randomized", trials: int = 5, seed: int = 0) -> bool:
@@ -147,13 +182,14 @@ def verify_rank(d: int, method: str = "randomized", trials: int = 5, seed: int =
 def moment_summary(d: int) -> dict:
     """One-stop summary of the symbolic identities for a given dimension,
     checked on V_{d+1} and V_d (see the module docstring): V_d times the
-    root product sum_l s_l x_{d+1}^l is V_{d+1}, det(M) is +-V_d, and
-    V_{d+1} has rank d in x_{d+1}.  f = V_{d+1} / d! is only printed."""
+    root product sum_l s_l x_{d+1}^l is V_{d+1}, det(M) is +-V_d (by the
+    W*M certificate), and V_{d+1} has rank d in x_{d+1}.
+    f = V_{d+1} / d! is only printed."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     vars = volume_vars(d)
     v_next, v_d = _vandermonde(vars, d + 1), _vandermonde(vars, d)
-    s, m = symmetric_polys(d), matrix_m(d)
+    s = symmetric_polys(d)
     pivot_power = Polynomial.variable(vars, vars.names[-1])
     reconstruction = Polynomial.zero(vars)
     power = Polynomial.constant(vars, 1)
@@ -164,7 +200,7 @@ def moment_summary(d: int) -> dict:
         "d": d,
         "volume_poly": str(v_next * Fraction(1, math.factorial(d))),
         "factorization_ok": v_d * reconstruction == v_next,
-        "det_m_sign": _det_sign(m.determinant(), v_d, d),
+        "det_m_sign": _det_m_certificate(matrix_m(d)),
         "rank_ok": rank_in(v_next, vars.names[-1]) == d,
     }
 

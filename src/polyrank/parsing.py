@@ -20,8 +20,9 @@ so parse -> print -> parse is the identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from .poly import Polynomial, VarSet
+from .poly import Exponents, Polynomial, Scalar, VarSet, _as_scalar
 
 
 class ParseError(ValueError):
@@ -67,10 +68,23 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Builds monomials directly: products and powers of single terms add
+    and scale exponent vectors, and each sum collects its terms in one
+    dict.  Only a product or power with a multi-term factor, such as
+    ``(x1 + x2)^3``, takes polynomial arithmetic.
+
+    ``term``, ``factor``, ``base`` and ``atom`` return either one term
+    ``(exponents, coefficient)``, whose coefficient may be zero or a
+    Fraction over 1, or a polynomial; ``expr`` sums them into a canonical
+    polynomial.
+    """
+
     def __init__(self, text: str, vars: VarSet):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = vars
+        k = vars.k
+        self.monomials = {name: tuple(int(i == j) for j in range(k)) for i, name in enumerate(vars.names)}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -93,42 +107,50 @@ class _Parser:
             raise ParseError(f"unexpected {text!r}", at)
         return p
 
+    def polynomial(self, value: tuple[Exponents, Scalar] | Polynomial) -> Polynomial:
+        if isinstance(value, Polynomial):
+            return value
+        exponents, coeff = value
+        return Polynomial(self.vars, {exponents: coeff})
+
     def expr(self) -> Polynomial:
         kind, text, _ = self.peek()
-        negate = False
+        negate = kind == "op" and text == "-"
         if kind == "op" and text in "+-":
+            self.advance()
+        terms: dict[Exponents, Scalar] = {}
+        while True:
+            value = self.term()
+            for m, c in value.terms.items() if isinstance(value, Polynomial) else (value,):
+                terms[m] = terms.get(m, 0) - c if negate else terms.get(m, 0) + c
+            kind, text, _ = self.peek()
+            if kind != "op" or text not in "+-":
+                return Polynomial._raw(self.vars, {m: _as_scalar(c) for m, c in terms.items() if c})
             negate = text == "-"
             self.advance()
-        p = self.term()
-        if negate:
-            p = -p
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                q = self.term()
-                p = p + q if text == "+" else p - q
-            else:
-                return p
 
-    def term(self) -> Polynomial:
+    def term(self) -> tuple[Exponents, Scalar] | Polynomial:
         p = self.factor()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text == "*":
-                self.advance()
-                p = p * self.factor()
-            else:
+            if kind != "op" or text != "*":
                 return p
+            self.advance()
+            q = self.factor()
+            if isinstance(p, tuple) and isinstance(q, tuple):
+                p = (tuple(map(add, p[0], q[0])), p[1] * q[1])
+            else:
+                p = self.polynomial(p) * self.polynomial(q)
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> tuple[Exponents, Scalar] | Polynomial:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return -self.factor()
+            p = self.factor()
+            return -p if isinstance(p, Polynomial) else (p[0], -p[1])
         return self.base()
 
-    def base(self) -> Polynomial:
+    def base(self) -> tuple[Exponents, Scalar] | Polynomial:
         p = self.atom()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
@@ -137,13 +159,16 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", at)
             self.advance()
-            p = p ** int(text)
+            n = int(text)
+            if isinstance(p, Polynomial):
+                return p ** n
+            return tuple(e * n for e in p[0]), p[1] ** n
         return p
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> tuple[Exponents, Scalar] | Polynomial:
         kind, text, at = self.advance()
         if kind == "int":
-            value = Fraction(int(text))
+            value: Scalar = int(text)
             k, t, at2 = self.peek()
             if k == "op" and t == "/":
                 self.advance()
@@ -153,14 +178,15 @@ class _Parser:
                 self.advance()
                 if int(t) == 0:
                     raise ParseError("zero denominator in rational literal", at3)
-                value /= int(t)
-            return Polynomial.constant(self.vars, value)
+                value = Fraction(value, int(t))
+            return (0,) * self.vars.k, value
         if kind == "name":
-            if text not in self.vars:
+            exponents = self.monomials.get(text)
+            if exponents is None:
                 raise ParseError(
                     f"unknown variable {text!r} (expected one of {', '.join(self.vars.names)})", at
                 )
-            return Polynomial.variable(self.vars, text)
+            return exponents, 1
         if kind == "op" and text == "(":
             p = self.expr()
             self.expect_op(")")

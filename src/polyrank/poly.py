@@ -147,11 +147,6 @@ def _ratio(numerator: Scalar, denominator: Scalar) -> Scalar:
     return _as_scalar(Fraction(numerator) / denominator)
 
 
-def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
-    """Graded-lex sort key: total degree first, then the exponent vector."""
-    return (sum(exponents), exponents)
-
-
 def _cleared(values: Collection[Scalar]) -> tuple[list[int], int]:
     """``(n, D)`` with ``values[i] == n[i] / D``, D the lcm of the
     denominators: the one way rationals enter integer arithmetic."""
@@ -594,28 +589,36 @@ class Polynomial:
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
+        """Terms in descending graded-lex order, e.g. ``-1/2*x1^2 + x2 - 3``.
+
+        Sign and magnitude are read off each coefficient's ``numerator``
+        and ``denominator`` (an int is its own numerator, over 1), so no
+        Fraction arithmetic runs while printing.
+        """
         if not self._terms:
             return "0"
+        names = self.vars.names
         pieces: list[str] = []
-        for m in sorted(self._terms, key=grlex_key, reverse=True):
+        # descending graded-lex: a stable sort by degree of the lex order
+        for m in sorted(sorted(self._terms, reverse=True), key=sum, reverse=True):
             c = self._terms[m]
+            num, den = c.numerator, c.denominator
+            negative = num < 0
+            if negative:
+                num = -num
             factors = []
-            for name, e in zip(self.vars.names, m):
+            for name, e in zip(names, m):
                 if e == 1:
                     factors.append(name)
-                elif e > 1:
+                elif e:
                     factors.append(f"{name}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+            if den != 1 or num != 1 or not factors:
+                factors.insert(0, f"{num}/{den}" if den != 1 else str(num))
+            body = "*".join(factors)
+            if pieces:
+                pieces.append(f"- {body}" if negative else f"+ {body}")
             else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+                pieces.append(f"-{body}" if negative else body)
         return " ".join(pieces)
 
     def __repr__(self) -> str:

@@ -8,7 +8,6 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from polyrank import NEG_INF, Polynomial, VarSet, rank
-from polyrank.poly import grlex_key
 
 
 def var_set(k: int, prefix: str = "x") -> VarSet:
@@ -180,6 +179,39 @@ def permute_polynomial(f: Polynomial, perm: list[int]) -> Polynomial:
 
 
 # ------------------------------------------------------------ term-map oracles
+
+def grlex_key(exponents) -> tuple:
+    """Graded-lex sort key: total degree first, then the exponent vector."""
+    return (sum(exponents), exponents)
+
+
+def reference_str(p: Polynomial) -> str:
+    """The canonical text of p, by ``abs``, comparisons and ``str`` on each
+    coefficient: the printer ``str(p)`` must match byte for byte."""
+    if not p.terms:
+        return "0"
+    pieces: list[str] = []
+    for m in sorted(p.terms, key=grlex_key, reverse=True):
+        c = p.terms[m]
+        factors = []
+        for name, e in zip(p.vars.names, m):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
 
 def degree_in(p: Polynomial, name: str):
     """Largest exponent of ``name`` in p; NEG_INF for the zero polynomial."""

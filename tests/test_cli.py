@@ -151,6 +151,17 @@ def test_malformed_points_is_1(capsys, points):
     assert err == f"polyrank: error: --points must be comma-separated rationals, got {points!r}\n"
 
 
+@pytest.mark.parametrize("points, message", [
+    ("1,1,2", "--points must be distinct rationals, got '1,1,2'"),
+    ("1/2,2/4,3", "--points must be distinct rationals, got '1/2,2/4,3'"),
+    ("1,2", "--points needs at least d+1 = 3 rationals, got '1,2'"),
+])
+def test_invalid_points_name_the_flag(capsys, points, message):
+    code, out, err = run_cli(capsys, "moment", "--d", "2", "--points", points)
+    assert (code, out) == (1, "")
+    assert err == f"polyrank: error: {message}\n"
+
+
 @pytest.mark.parametrize("poly", ["(x1+2*x2+x3)^12 + x1*x2^2", "x1*x2 + x3"])
 def test_special_ignores_trials(capsys, poly):
     argv = ("special", "--poly", poly, "--vars", "x1,x2,x3")

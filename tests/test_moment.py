@@ -23,8 +23,8 @@ from polyrank import (
     volume_expansion_report,
     volume_poly,
 )
-from polyrank.moment import _vandermonde, volume_vars
-from polyrank.rank import _randomized_rank, coefficient_map, jacobian
+from polyrank.moment import _det_m_certificate, _vandermonde, volume_vars
+from polyrank.rank import PolyMatrix, _randomized_rank, coefficient_map, jacobian
 
 from gens import canonical_types, vandermonde_fold
 
@@ -164,6 +164,27 @@ def test_det_m_squared_identity():
         assert det * det == vandermonde_d * vandermonde_d
         assert det_m_sign(d) in (-1, 1)
         assert det == det_m_sign(d) * vandermonde_d
+
+
+def test_det_m_certificate_sign_is_the_bareiss_sign():
+    for d in range(1, 7):
+        assert _det_m_certificate(matrix_m(d)) == det_m_sign(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_det_m_certificate_rejects_a_dropped_term(d):
+    # every entry of M is nonempty; dropping any one of its terms breaks
+    # the identity (W*M)_ij = -prod_(k != j)(x_i - x_k) in column j
+    m = matrix_m(d)
+    for i in range(d):
+        for j in range(d):
+            for dropped in m.entries[i][j].terms:
+                rows = [list(row) for row in m.entries]
+                terms = dict(rows[i][j].terms)
+                del terms[dropped]
+                rows[i][j] = Polynomial(m.vars, terms)
+                with pytest.raises(AssertionError, match=r"\(W\*M\)"):
+                    _det_m_certificate(PolyMatrix(m.vars, rows))
 
 
 def test_derivative_evaluation_identity():

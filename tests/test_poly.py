@@ -6,7 +6,7 @@ from math import isqrt
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyrank import (
     NEG_INF,
@@ -18,13 +18,15 @@ from polyrank import (
     project,
 )
 from polyrank import poly
-from polyrank.poly import _as_scalar, _ratio, grlex_key
+from polyrank.poly import _as_scalar, _ratio
 from gens import (
     canonical_types,
     constant_term,
     degree_in,
     embed,
+    grlex_key,
     leading_term,
+    reference_str,
     sparse_random_polynomial,
     var_set,
 )
@@ -639,9 +641,98 @@ def test_subtraction_is_adding_the_negation(p, q):
 
 
 @settings(deadline=None)
-@given(polys)
+@given(st.one_of(polys, rational_polys))
 def test_print_parse_roundtrip(p):
     assert parse(str(p), V3) == p
+
+
+@settings(deadline=None)
+@given(st.one_of(polys, rational_polys))
+@example(Polynomial.zero(V3))
+@example(P("-1/2"))
+@example(P("-x1^2*x3 + 1"))
+@example(P("-7/3*x2 - x3 + 12"))
+def test_str_matches_the_reference_printer(p):
+    assert str(p) == reference_str(p)
+
+
+# ---------------------------------------------------------------- parser differential
+
+_leaves = st.one_of(
+    st.tuples(st.just("num"), st.integers(0, 12), st.one_of(st.none(), st.integers(1, 6))),
+    st.tuples(st.just("var"), st.sampled_from(V3.names)),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.tuples(st.just("neg"), kids),
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), kids, kids),
+        st.tuples(st.just("pow"), kids, st.integers(0, 3)),
+    ),
+    max_leaves=10,
+)
+
+# grammar level of a node's unparenthesized text: expr, term, factor, base, atom
+_LEVEL = {"add": 0, "sub": 0, "mul": 1, "neg": 2, "pow": 3, "num": 4, "var": 4}
+
+
+@st.composite
+def rendered_trees(draw):
+    """An expression tree and one text for it: parentheses where the
+    grammar needs them and, at random, anywhere else; random spacing; and
+    sometimes a leading '+'."""
+    tree = draw(_trees)
+
+    def render(node, level):
+        kind = node[0]
+        space = draw(st.sampled_from(["", " "]))
+        if kind == "num":
+            text = str(node[1]) if node[2] is None else f"{node[1]}/{node[2]}"
+        elif kind == "var":
+            text = node[1]
+        elif kind == "neg":
+            text = "-" + render(node[1], 2)
+        elif kind == "pow":
+            text = f"{render(node[1], 4)}{space}^{space}{node[2]}"
+        else:
+            op = {"add": "+", "sub": "-", "mul": "*"}[kind]
+            right = 1 if kind != "mul" else 2
+            text = f"{render(node[1], _LEVEL[kind])}{space}{op}{space}{render(node[2], right)}"
+        if _LEVEL[kind] < level or draw(st.integers(0, 5)) == 0:
+            text = f"({space}{text}{space})"
+        return text
+
+    text = render(tree, 0)
+    return tree, ("+" + text if draw(st.booleans()) else text)
+
+
+def _evaluate(node):
+    """The tree's value by Polynomial ring arithmetic."""
+    kind = node[0]
+    if kind == "num":
+        return Polynomial.constant(V3, Fraction(node[1], node[2] or 1))
+    if kind == "var":
+        return Polynomial.variable(V3, node[1])
+    if kind == "neg":
+        return -_evaluate(node[1])
+    if kind == "pow":
+        return _evaluate(node[1]) ** node[2]
+    left, right = _evaluate(node[1]), _evaluate(node[2])
+    return left + right if kind == "add" else left - right if kind == "sub" else left * right
+
+
+@settings(deadline=None, max_examples=300)
+@given(rendered_trees())
+@example((("mul", ("num", 0, None), ("var", "x1")), "0*x1"))
+@example((("pow", ("var", "x1"), 0), "x1^0"))
+@example((("pow", ("sub", ("var", "x1"), ("var", "x1")), 0), "(x1-x1)^0"))
+@example((("mul", ("num", 4, 2), ("pow", ("num", 1, 2), 2)), "4/2*1/2^2"))
+@example((("sub", ("var", "x2"), ("neg", ("neg", ("var", "x2")))), "x2 - --x2"))
+def test_parse_matches_ring_arithmetic(case):
+    tree, text = case
+    p = parse(text, V3)
+    assert p == _evaluate(tree)
+    assert canonical_types(p.terms.values())
 
 
 @settings(deadline=None)
