@@ -9,13 +9,14 @@ volumes.  All identities below are verified with exact symbolic algebra.
 
 from polyrank import (
     distinct_volumes,
+    matrix_m,
     moment_summary,
     rank_in,
     symmetric_polys,
     volume_expansion_report,
     volume_poly,
 )
-from polyrank.moment import det_m, volume_vars
+from polyrank.moment import volume_vars
 
 print("volume polynomial for d = 2 (triangle area up to orientation):")
 print(f"  {volume_poly(2)}")
@@ -26,7 +27,7 @@ print()
 print("d = 3 symmetric coefficients s_0..s_3:")
 for level, s in enumerate(symmetric_polys(3)):
     print(f"  s_{level} = {s}")
-print(f"det of their derivative matrix: {det_m(3)}")
+print(f"det of their derivative matrix: {matrix_m(3).determinant()}")
 print()
 
 for d in (1, 2, 3, 4):

@@ -17,14 +17,10 @@ from .expansion import (
 from .incidence import IncidenceInstance, bound_ratios, build_instance, verify_counts
 from .moment import (
     VolumeSet,
-    det_m,
-    det_m_sign,
     distinct_volumes,
     matrix_m,
     moment_summary,
     symmetric_polys,
-    vandermonde_matrix,
-    verify_rank,
     volume_expansion_report,
     volume_poly,
 )
@@ -43,7 +39,6 @@ from .rank import (
     Witness,
     coefficient_map,
     generic_rank_exact,
-    generic_rank_randomized,
     jacobian,
     rank,
     rank_in,
@@ -78,14 +73,11 @@ __all__ = [
     "coefficient_map",
     "degenerate_demo",
     "depends_on_all",
-    "det_m",
-    "det_m_sign",
     "distinct_volumes",
     "exact_div",
     "expansion_report",
     "generate_set",
     "generic_rank_exact",
-    "generic_rank_randomized",
     "grid_reduce",
     "image_size",
     "image_values",
@@ -102,9 +94,7 @@ __all__ = [
     "reduce",
     "symmetric_polys",
     "theoretical_exponent",
-    "vandermonde_matrix",
     "verify_counts",
-    "verify_rank",
     "volume_expansion_report",
     "volume_poly",
 ]

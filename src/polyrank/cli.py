@@ -84,7 +84,7 @@ def _parse_sets(text: str, vars: VarSet, seed: int) -> list[tuple]:
     """Either 'kind:n' (one recipe for every variable, per-variable seeds)
     or explicit '|'-separated value lists, one per variable."""
     if "|" in text or ":" not in text:
-        groups = [tuple(v for v in group.split(",") if v.strip()) for group in text.split("|")]
+        groups = [tuple(_parse_list(group, "--sets", Fraction, "rationals")) for group in text.split("|")]
         if len(groups) != vars.k:
             raise ValueError(f"need {vars.k} explicit sets separated by '|', got {len(groups)}")
         return [generate_set(SetSpec("explicit", len(values), params=values)) for values in groups]
@@ -99,7 +99,8 @@ def _parse_sets(text: str, vars: VarSet, seed: int) -> list[tuple]:
 
 
 def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
-    """The values of a comma-separated ``flag`` value (``--n``, ``--points``),
+    """The values of a comma-separated ``flag`` value (``--n``, ``--points``,
+    an explicit ``--sets`` group),
     each read by ``kind``; ``noun`` names them in the error message."""
     try:
         return [kind(v) for v in text.split(",")]

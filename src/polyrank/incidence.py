@@ -39,7 +39,6 @@ CoeffVector = tuple[Scalar, ...]
 @dataclass(frozen=True)
 class IncidenceInstance:
     f: Polynomial
-    set_sizes: tuple[int, ...]
     image_size: int
     witness_rows: tuple[int, ...]
     s_size: int
@@ -66,15 +65,14 @@ class IncidenceInstance:
 def build_instance(
     f: Polynomial,
     sets: Sequence[Sequence[Scalar]],
-    minor_rows: Sequence[int] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> IncidenceInstance:
     """Build the full S / S_0 / S' decomposition and count incidences.
 
-    ``minor_rows``: pivot exponents i of k-1 coefficients alpha_i whose
-    Jacobian minor certifies rank k-1 (the labels rank reports for witness
-    rows); found by the exact rank engine when omitted.  An exponent whose
-    alpha_i is zero selects a singular minor.
+    The certifying minor is the pivot minor of the exact rank engine on
+    the Jacobian of the coefficient map, nonzero by construction; its rows
+    are reported by the pivot exponents i of their alphas (the labels rank
+    reports for witness rows).
     """
     vars = f.vars
     k = vars.k
@@ -83,20 +81,10 @@ def build_instance(
     pivot = vars.names[0]
     cm = coefficient_map(f, pivot)
     jac = jacobian(cm)
-    if minor_rows is None:
-        r, witness = generic_rank_exact(jac)
-        if r != k - 1:
-            raise ValueError(f"rank with respect to {pivot} is {r}, need full rank {k - 1}")
-        minor_rows = tuple(cm.exponents[i] for i in witness.rows)
-    minor_rows = tuple(sorted(minor_rows))
-    if len(minor_rows) != k - 1:
-        raise ValueError(f"witness must select {k - 1} coefficient rows")
-    row_of = {e: i for i, e in enumerate(cm.exponents)}
-    minor_det = Polynomial.zero(vars)  # an exponent with alpha_i = 0 is a zero row
-    if all(e in row_of for e in minor_rows):
-        minor_det = jac.submatrix([row_of[e] for e in minor_rows], range(k - 1)).determinant()
-    if minor_det.is_zero:
-        raise ValueError("the selected minor is singular; pick independent coefficient rows")
+    r, witness = generic_rank_exact(jac)
+    if r != k - 1:
+        raise ValueError(f"rank with respect to {pivot} is {r}, need full rank {k - 1}")
+    minor_det = jac.submatrix(witness.rows, range(k - 1)).determinant()
 
     a1_size = len(sets[0])
     suffix_count = math.prod(len(s) for s in sets[1:])
@@ -127,9 +115,8 @@ def build_instance(
 
     return IncidenceInstance(
         f=f,
-        set_sizes=tuple(len(s) for s in sets),
         image_size=image_count,
-        witness_rows=minor_rows,
+        witness_rows=tuple(cm.exponents[i] for i in witness.rows),
         s_size=suffix_count * a1_size,
         s0_size=degenerate_suffixes * a1_size,
         sprime_size=(suffix_count - degenerate_suffixes) * a1_size,
@@ -141,7 +128,7 @@ def build_instance(
     )
 
 
-def verify_counts(inst: IncidenceInstance, multiplicity_cap: int | None = None) -> dict:
+def verify_counts(inst: IncidenceInstance) -> dict:
     """Check the counting identities tying S' to the incidence count.
 
     Every S' tuple lands on a curve through a point of P, and a single
@@ -149,12 +136,10 @@ def verify_counts(inst: IncidenceInstance, multiplicity_cap: int | None = None) 
 
         incidences <= |S'| <= max_multiplicity * incidences.
 
-    The multiplicity itself is capped by a Bezout-style constant,
-    deg(f)^k by default.
+    The multiplicity itself is capped by a Bezout-style constant, deg(f)^k.
     """
-    if multiplicity_cap is None:
-        degree = inst.f.total_degree()
-        multiplicity_cap = max(1, int(degree)) ** inst.f.vars.k if isinstance(degree, int) else 1
+    degree = inst.f.total_degree()
+    multiplicity_cap = max(1, int(degree)) ** inst.f.vars.k if isinstance(degree, int) else 1
     ok_split = inst.s_size == inst.s0_size + inst.sprime_size
     ok_lower = inst.incidence_count <= inst.sprime_size
     ok_upper = inst.sprime_size <= inst.max_multiplicity * inst.incidence_count or inst.sprime_size == 0

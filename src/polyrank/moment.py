@@ -17,8 +17,7 @@ needs no determinant of M: with W the d x d Vandermonde matrix with rows
 (1, x_i, ..., x_i^(d-1)), whose determinant is V_d, every entry of W*M is
 a product of linear forms, zero off the diagonal, and comparing each entry
 with its product pins det(M) = (-1)^(d(d+1)/2) * V_d (see
-:func:`_det_m_certificate`).  ``det_m`` and ``det_m_sign`` still compute
-the determinant itself.
+:func:`_det_m_certificate`); det(M) itself is never expanded.
 
 Distinct volumes of point sets on the curve are enumerated exactly: every
 (d+1)-subset of the parameters contributes (1/d!) * |prod of differences|.
@@ -69,21 +68,20 @@ def _vandermonde(vars: VarSet, count: int) -> Polynomial:
     return Polynomial._raw(vars, terms)
 
 
+def _over_factorial(v: Polynomial, d: int) -> Polynomial:
+    """v / d! for a v whose coefficients are all +-1, such as V_{d+1}:
+    each coefficient is c / d! in lowest terms, so no product is needed."""
+    if d == 1:
+        return v
+    scale = math.factorial(d)
+    return Polynomial._raw(v.vars, {m: Fraction(c, scale) for m, c in v.terms.items()})
+
+
 def volume_poly(d: int) -> Polynomial:
     """(1/d!) * prod_{1<=i<j<=d+1} (x_j - x_i), the simplex volume polynomial."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return _vandermonde(volume_vars(d), d + 1) * Fraction(1, math.factorial(d))
-
-
-def vandermonde_matrix(d: int) -> PolyMatrix:
-    """The (d+1) x (d+1) matrix with rows (1, x_i, x_i^2, ..., x_i^d)."""
-    vars = volume_vars(d)
-    rows = []
-    for i in range(d + 1):
-        x = Polynomial.variable(vars, vars.names[i])
-        rows.append([x ** j for j in range(d + 1)])
-    return PolyMatrix(vars, rows)
+    return _over_factorial(_vandermonde(volume_vars(d), d + 1), d)
 
 
 def symmetric_polys(d: int) -> tuple[Polynomial, ...]:
@@ -113,26 +111,6 @@ def matrix_m(d: int) -> PolyMatrix:
     s = symmetric_polys(d)
     rows = [[s[i].partial(vars.names[j]) for j in range(d)] for i in range(d)]
     return PolyMatrix(vars, rows)
-
-
-def det_m(d: int) -> Polynomial:
-    return matrix_m(d).determinant()
-
-
-def det_m_sign(d: int) -> int:
-    """Sign relating det(M) to prod_{1<=i<j<=d}(x_j - x_i).
-
-    Both polynomials agree up to sign (their squares are identical); the
-    sign itself depends on d and is worth recording since it is easy to
-    drop in hand computations.  :func:`_det_m_certificate` proves the
-    same sign without the determinant.
-    """
-    det, vandermonde = det_m(d), _vandermonde(volume_vars(d), d)
-    if det == vandermonde:
-        return 1
-    if det == -vandermonde:
-        return -1
-    raise AssertionError(f"det(M) is not +-Vandermonde for d={d}")
 
 
 def _det_m_certificate(m: PolyMatrix) -> int:
@@ -168,17 +146,6 @@ def _det_m_certificate(m: PolyMatrix) -> int:
     return (-1) ** (d * (d + 1) // 2)
 
 
-def verify_rank(d: int, method: str = "randomized", trials: int = 5, seed: int = 0) -> bool:
-    """Does the volume polynomial have rank d with respect to x_{d+1}?
-
-    The default randomized method is conclusive here: the Jacobian has only
-    d columns, so a certified rank-d witness pins the generic rank exactly.
-    (The exact method agrees but expands enormous minors for d >= 4.)
-    """
-    f = volume_poly(d)
-    return rank_in(f, f.vars.names[-1], method=method, trials=trials, seed=seed) == d
-
-
 def moment_summary(d: int) -> dict:
     """One-stop summary of the symbolic identities for a given dimension,
     checked on V_{d+1} and V_d (see the module docstring): V_d times the
@@ -198,7 +165,7 @@ def moment_summary(d: int) -> dict:
         power = power * pivot_power
     return {
         "d": d,
-        "volume_poly": str(v_next * Fraction(1, math.factorial(d))),
+        "volume_poly": str(_over_factorial(v_next, d)),
         "factorization_ok": v_d * reconstruction == v_next,
         "det_m_sign": _det_m_certificate(matrix_m(d)),
         "rank_ok": rank_in(v_next, vars.names[-1]) == d,

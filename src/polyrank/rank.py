@@ -308,17 +308,6 @@ def _randomized_rank(m: PolyMatrix, trials: int, seed: int) -> tuple[int, Witnes
     return best, best_witness
 
 
-def generic_rank_randomized(m: PolyMatrix, trials: int = 5, seed: int = 0) -> int:
-    """Max rank of ``m`` over random integer evaluations, eliminated
-    modulo PRIME = 2^61 - 1.
-
-    Never exceeds the generic rank; equals it with probability at least
-    1 - (deg / (2B + 1) + pivots / PRIME)^trials.
-    """
-    r, _ = _randomized_rank(m, trials, seed)
-    return r
-
-
 def rank_in(f: Polynomial, v: str, method: str = "randomized", trials: int = 5, seed: int = 0) -> int:
     """rank of f with respect to pivot variable ``v``: the generic rank of
     the Jacobian of its coefficient map."""

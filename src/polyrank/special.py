@@ -104,6 +104,11 @@ def depends_on_all(f: Polynomial) -> bool:
     return all(not f.partial(v).is_zero for v in f.vars)
 
 
+def _check_identity_method(method: str) -> None:
+    if method not in ("exact", "randomized"):
+        raise ValueError(f"unknown identity method {method!r} (expected 'exact' or 'randomized')")
+
+
 def _identity_holds(
     factors: tuple[Polynomial, ...], sides: Callable[..., tuple], degree: int, method: str, seed: int
 ) -> bool:
@@ -116,8 +121,7 @@ def _identity_holds(
     identities that survive the point are expanded.  ``randomized`` uses
     ``RANDOMIZED_IDENTITY_TRIALS`` points and expands nothing.
     """
-    if method not in ("exact", "randomized"):
-        raise ValueError(f"unknown identity method {method!r} (expected 'exact' or 'randomized')")
+    _check_identity_method(method)
     k = factors[0].vars.k
     trials = 1 if method == "exact" else RANDOMIZED_IDENTITY_TRIALS
     for t in range(trials):
@@ -214,6 +218,7 @@ def is_special(f: Polynomial, method: str = "exact", seed: int = 0) -> SpecialFo
     and the rest are refuted modulo a prime and, in ``exact`` mode,
     expanded if they survive (see the module docstring).
     """
+    _check_identity_method(method)
     if f.vars.k < 3:
         raise ValueError("special-form detection needs at least 3 variables")
     dep = depends_on_all(f)

@@ -7,7 +7,8 @@ import random
 from fractions import Fraction
 from itertools import product as iter_product
 
-from polyrank import NEG_INF, Polynomial, VarSet, rank
+from polyrank import NEG_INF, PolyMatrix, Polynomial, VarSet, matrix_m, rank
+from polyrank.moment import _vandermonde, volume_vars
 
 
 def var_set(k: int, prefix: str = "x") -> VarSet:
@@ -151,6 +152,33 @@ def vandermonde_fold(vars: VarSet, count: int) -> Polynomial:
     xs = [Polynomial.variable(vars, name) for name in vars.names[:count]]
     return math.prod((xs[j] - xs[i] for i in range(count) for j in range(i + 1, count)),
                      start=Polynomial.constant(vars, 1))
+
+
+def vandermonde_matrix(d: int) -> PolyMatrix:
+    """The (d+1) x (d+1) matrix with rows (1, x_i, x_i^2, ..., x_i^d)."""
+    vars = volume_vars(d)
+    rows = []
+    for i in range(d + 1):
+        x = Polynomial.variable(vars, vars.names[i])
+        rows.append([x ** j for j in range(d + 1)])
+    return PolyMatrix(vars, rows)
+
+
+def det_m_sign(d: int) -> int:
+    """Sign relating det(M) to prod_{1<=i<j<=d}(x_j - x_i), from the
+    Bareiss determinant of :func:`polyrank.matrix_m`.
+
+    Both polynomials agree up to sign (their squares are identical); the
+    sign itself depends on d and is worth recording since it is easy to
+    drop in hand computations.  ``polyrank.moment._det_m_certificate``
+    proves the same sign without the determinant.
+    """
+    det, vandermonde = matrix_m(d).determinant(), _vandermonde(volume_vars(d), d)
+    if det == vandermonde:
+        return 1
+    if det == -vandermonde:
+        return -1
+    raise AssertionError(f"det(M) is not +-Vandermonde for d={d}")
 
 
 def canonical_types(values) -> bool:

@@ -21,30 +21,31 @@ from polyrank import (
     distinct_volumes,
     generate_set,
     generic_rank_exact,
-    generic_rank_randomized,
     grid_reduce,
     image_size,
     image_values,
     is_special,
     jacobian,
+    matrix_m,
     parse,
     rank,
     rank_in,
     reduce,
     symmetric_polys,
     theoretical_exponent,
-    vandermonde_matrix,
     verify_counts,
-    verify_rank,
     volume_poly,
 )
-from polyrank.moment import det_m, det_m_sign, volume_vars
+from polyrank.moment import volume_vars
+from polyrank.rank import _randomized_rank
 from gens import (
     dense_random_polynomial,
+    det_m_sign,
     embedded_rank_poly,
     perturbed_special,
     random_special,
     var_set,
+    vandermonde_matrix,
 )
 
 
@@ -63,7 +64,7 @@ def test_criterion_1_rank_oracle_agreement():
         for v in vars.names:
             jac = jacobian(coefficient_map(f, v))
             exact, _ = generic_rank_exact(jac)
-            randomized = generic_rank_randomized(jac, trials=5, seed=case)
+            randomized = _randomized_rank(jac, 5, case)[0]
             assert randomized == exact, f"case {case}, pivot {v}: {randomized} != {exact}"
         cases += 1
     elapsed = time.perf_counter() - started
@@ -193,12 +194,13 @@ def test_criterion_7_moment_curve_suite():
                     Polynomial.variable(vars, vars.names[j])
                     - Polynomial.variable(vars, vars.names[i])
                 )
-        det_matrix = det_m(d)
+        det_matrix = matrix_m(d).determinant()
         assert det_matrix * det_matrix == vandermonde_d * vandermonde_d
         assert det_matrix == det_m_sign(d) * vandermonde_d
 
     for d in (2, 3, 4):
-        assert verify_rank(d)
+        f = volume_poly(d)
+        assert rank_in(f, f.vars.names[-1]) == d
 
     assert distinct_volumes([0, 1, 2, 3], 2).count == 2
 

@@ -162,6 +162,13 @@ def test_invalid_points_name_the_flag(capsys, points, message):
     assert err == f"polyrank: error: {message}\n"
 
 
+@pytest.mark.parametrize("sets, group", [("a,b|1|2", "a,b"), ("1/0|1|2", "1/0"), ("1,2||3", "")])
+def test_invalid_sets_name_the_flag(capsys, sets, group):
+    code, out, err = run_cli(capsys, "incidence", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3", "--sets", sets)
+    assert (code, out) == (1, "")
+    assert err == f"polyrank: error: --sets must be comma-separated rationals, got {group!r}\n"
+
+
 @pytest.mark.parametrize("poly", ["(x1+2*x2+x3)^12 + x1*x2^2", "x1*x2 + x3"])
 def test_special_ignores_trials(capsys, poly):
     argv = ("special", "--poly", poly, "--vars", "x1,x2,x3")

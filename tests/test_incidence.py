@@ -231,10 +231,8 @@ def test_explicit_witness_rows():
     assert r == 2
     labels = tuple(cm.exponents[i] for i in witness.rows)
     assert labels == (1, 2)
-    inst = build_instance(f, [[1, 2]] * 3, minor_rows=labels)
+    inst = build_instance(f, [[1, 2]] * 3)
     assert inst.witness_rows == labels
-    with pytest.raises(ValueError, match="singular"):
-        build_instance(f, [[1, 2]] * 3, minor_rows=(0, 1))  # alpha_0 = 0 row
 
 
 # ------------------------------------------------------------ identities

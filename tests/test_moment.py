@@ -11,22 +11,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from polyrank import (
     Polynomial,
-    det_m,
-    det_m_sign,
     distinct_volumes,
     matrix_m,
     moment_summary,
     parse,
+    rank_in,
     symmetric_polys,
-    vandermonde_matrix,
-    verify_rank,
     volume_expansion_report,
     volume_poly,
 )
 from polyrank.moment import _det_m_certificate, _vandermonde, volume_vars
 from polyrank.rank import PolyMatrix, _randomized_rank, coefficient_map, jacobian
 
-from gens import canonical_types, vandermonde_fold
+from gens import canonical_types, det_m_sign, vandermonde_fold, vandermonde_matrix
 
 
 def test_volume_poly_low_dimensions():
@@ -147,8 +144,8 @@ def test_matrix_m_small_cases():
     m = matrix_m(2)
     assert m.entries[0] == (parse("x2", v2), parse("x1", v2))
     assert m.entries[1] == (parse("-1", v2), parse("-1", v2))
-    assert det_m(2) == parse("x1 - x2", v2)
-    assert det_m(1) == parse("-1", volume_vars(1))
+    assert m.determinant() == parse("x1 - x2", v2)
+    assert matrix_m(1).determinant() == parse("-1", volume_vars(1))
 
 
 def test_det_m_squared_identity():
@@ -160,7 +157,7 @@ def test_det_m_squared_identity():
                 vandermonde_d = vandermonde_d * (
                     Polynomial.variable(vars, vars.names[j]) - Polynomial.variable(vars, vars.names[i])
                 )
-        det = det_m(d)
+        det = matrix_m(d).determinant()
         assert det * det == vandermonde_d * vandermonde_d
         assert det_m_sign(d) in (-1, 1)
         assert det == det_m_sign(d) * vandermonde_d
@@ -214,9 +211,10 @@ def test_derivative_evaluation_identity():
                         assert total == expected
 
 
-def test_verify_rank():
+def test_volume_poly_has_full_rank():
     for d in (2, 3, 4):
-        assert verify_rank(d)
+        f = volume_poly(d)
+        assert rank_in(f, f.vars.names[-1]) == d
     # the rank cannot exceed the column count d
     jac_cols = matrix_m(3).cols
     assert jac_cols == 3

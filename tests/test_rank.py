@@ -16,7 +16,6 @@ from polyrank import (
     build_instance,
     coefficient_map,
     generic_rank_exact,
-    generic_rank_randomized,
     jacobian,
     parse,
     rank,
@@ -409,11 +408,11 @@ def test_determinant_agrees_with_sympy_det():
 
 def test_randomized_rank_zero_matrix():
     m = matrix([["0", "0"], ["0", "0"]])
-    assert generic_rank_randomized(m, trials=3, seed=1) == 0
+    assert _randomized_rank(m, 3, 1)[0] == 0
 
 
 def test_randomized_rank_nonzero_row():
-    assert generic_rank_randomized(matrix([["x3", "x2"]]), trials=1, seed=0) == 1
+    assert _randomized_rank(matrix([["x3", "x2"]]), 1, 0)[0] == 1
 
 
 def test_randomized_never_exceeds_exact_and_agrees():
@@ -424,7 +423,7 @@ def test_randomized_never_exceeds_exact_and_agrees():
         rows = [[sparse_random_polynomial(rng, V3, max_deg=2, max_terms=3) for _ in range(3)] for _ in range(4)]
         m = PolyMatrix(V3, rows)
         exact, _ = generic_rank_exact(m)
-        randomized = generic_rank_randomized(m, trials=5, seed=case)
+        randomized = _randomized_rank(m, 5, case)[0]
         assert randomized <= exact
         agreements += (randomized == exact)
     assert agreements == cases
@@ -432,7 +431,7 @@ def test_randomized_never_exceeds_exact_and_agrees():
 
 def test_randomized_is_deterministic_given_seed():
     m = matrix([["x1", "x2"], ["x3", "1"]])
-    assert generic_rank_randomized(m, trials=5, seed=7) == generic_rank_randomized(m, trials=5, seed=7)
+    assert _randomized_rank(m, 5, 7) == _randomized_rank(m, 5, 7)
 
 
 def test_sample_point_draws_are_pinned():
@@ -607,7 +606,7 @@ def test_randomized_trials_evaluate_modulo_prime(monkeypatch):
         vars = var_set(3 + case % 2)
         f = CORPORA[sorted(CORPORA)[case % 3]](rng, vars)
         rank(f, method="randomized", seed=case)
-        generic_rank_randomized(jacobian(coefficient_map(f, "x1")), trials=3, seed=case)
+        _randomized_rank(jacobian(coefficient_map(f, "x1")), 3, case)
     assert moduli and set(moduli) == {PRIME}
 
 

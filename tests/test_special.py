@@ -102,6 +102,15 @@ def test_requires_three_variables():
         is_special(parse("x1*x2", var_set(2)))
 
 
+@pytest.mark.parametrize("text", ["x1*x2*x3", "x1*x2 + x3"])
+def test_unknown_method_is_rejected_before_any_work(monkeypatch, text):
+    # x1*x2*x3 is special, so the rank certificate settles every identity
+    # and none is left to evaluate: the method is checked up front
+    monkeypatch.setattr(special_module, "rank", lambda *args, **kwargs: pytest.fail("rank was called"))
+    with pytest.raises(ValueError, match="unknown identity method 'bogus'"):
+        is_special(P(text), method="bogus")
+
+
 def test_verdict_json_shape():
     doc = is_special(P("x1*x2*x3")).to_json_dict()
     assert set(doc) == {"rank1", "depends_on_all", "pairs", "verdict"}
