@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .expansion import DEFAULT_BUDGET, image_size
 from .poly import Polynomial, Scalar, _as_scalar
-from .rank import coefficient_map, generic_rank_exact, jacobian
+from .rank import _cleared_multiple, coefficient_map, generic_rank_exact, jacobian
 
 CoeffVector = tuple[Scalar, ...]
 
@@ -72,7 +72,11 @@ def build_instance(
     The certifying minor is the pivot minor of the exact rank engine on
     the Jacobian of the coefficient map, nonzero by construction; its rows
     are reported by the pivot exponents i of their alphas (the labels rank
-    reports for witness rows).
+    reports for witness rows).  As rank does, the Jacobian is that of the
+    cleared multiple D*f unless PRIME divides D: scaling by D scales each
+    minor by D^(k-1), so the witness and the suffixes that kill it are
+    those of f, while the partials see integers.  The curves take f's own
+    alphas.
     """
     vars = f.vars
     k = vars.k
@@ -80,7 +84,8 @@ def build_instance(
         raise ValueError(f"need {k} sets, got {len(sets)}")
     pivot = vars.names[0]
     cm = coefficient_map(f, pivot)
-    jac = jacobian(cm)
+    cleared, _ = _cleared_multiple(f)
+    jac = jacobian(cm if cleared is f else coefficient_map(cleared, pivot))
     r, witness = generic_rank_exact(jac)
     if r != k - 1:
         raise ValueError(f"rank with respect to {pivot} is {r}, need full rank {k - 1}")

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .poly import NEG_INF, Polynomial, Scalar, VarSet, _integral, exact_div
@@ -281,6 +281,16 @@ def trial_values(polys: Sequence[Polynomial], point: Sequence[int]) -> tuple[lis
         return [p.eval(point) for p in polys], RATIONALS
 
 
+def _cleared_multiple(f: Polynomial) -> tuple[Polynomial, bool]:
+    """``(D*f, True)``, D the lcm of f's coefficient denominators, or
+    ``(f, False)`` when PRIME divides D (see the module docstring).  An
+    integral f is returned as it is."""
+    terms, scale = _integral(f.terms)
+    if not scale % PRIME:
+        return f, False
+    return (f if scale == 1 else Polynomial._raw(f.vars, terms)), True
+
+
 def _randomized_rank(m: PolyMatrix, trials: int, seed: int) -> tuple[int, Witness]:
     """Max rank over trials of ``m`` at seeded points, each eliminated mod
     PRIME (or over Q, see :func:`trial_values`); stops at full rank.
@@ -311,20 +321,18 @@ def _randomized_rank(m: PolyMatrix, trials: int, seed: int) -> tuple[int, Witnes
 def rank_in(f: Polynomial, v: str, method: str = "randomized", trials: int = 5, seed: int = 0) -> int:
     """rank of f with respect to pivot variable ``v``: the generic rank of
     the Jacobian of its coefficient map."""
-    r, _ = _rank_in_with_witness(f, v, method, trials, seed)
-    return r
+    return _rank_in_with_witness(f, v, method, trials, seed)[0]
 
 
 def _rank_in_with_witness(
     f: Polynomial, v: str, method: str, trials: int, seed: int
-) -> tuple[int, Witness]:
-    """:func:`rank_in` and its pivot minor: witness rows are labelled by
-    pivot exponent, columns index the non-pivot variables in order.  A
-    rational f is ranked as its cleared multiple D*f unless PRIME divides
-    D (see the module docstring)."""
-    terms, scale = _integral(f.terms)
-    if scale % PRIME:
-        f = Polynomial._raw(f.vars, terms)
+) -> tuple[int, Witness, PolyMatrix]:
+    """:func:`rank_in`, its pivot minor and the Jacobian it ranked: witness
+    rows are labelled by pivot exponent, columns index the non-pivot
+    variables in order.  A rational f is ranked as its cleared multiple D*f
+    unless PRIME divides D (see the module docstring), so the Jacobian is
+    that of D*f."""
+    f, _ = _cleared_multiple(f)
     cm = coefficient_map(f, v)
     m = jacobian(cm)
     if method == "exact":
@@ -336,12 +344,18 @@ def _rank_in_with_witness(
         r, witness = _randomized_rank(m, trials, seed)
     else:
         raise ValueError(f"unknown rank method {method!r} (expected 'exact' or 'randomized')")
-    return r, witness._replace(rows=tuple(cm.exponents[i] for i in witness.rows))
+    return r, witness._replace(rows=tuple(cm.exponents[i] for i in witness.rows)), m
 
 
 @dataclass(frozen=True)
 class RankReport:
-    """Per-variable ranks, their maximum, and how they were obtained."""
+    """Per-variable ranks, their maximum, and how they were obtained.
+
+    ``jacobians`` maps each pivot to the Jacobian it was ranked on (that of
+    the cleared D*f unless PRIME divides D), so a caller that goes on to
+    test those matrices does not build them again.  It is left out of the
+    JSON, of ``repr`` and of ``==``.
+    """
 
     vars: tuple[str, ...]
     per_variable: dict[str, int]
@@ -351,6 +365,7 @@ class RankReport:
     seed: int
     witness_var: str | None
     witness: Witness | None
+    jacobians: dict[str, PolyMatrix] = field(default_factory=dict, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         witness = None
@@ -383,11 +398,12 @@ def rank(f: Polynomial, method: str = "randomized", trials: int = 5, seed: int =
     if f.vars.k < 2:
         raise ValueError("rank requires at least 2 ambient variables")
     per: dict[str, int] = {}
+    jacobians: dict[str, PolyMatrix] = {}
     witness_var: str | None = None
     witness: Witness | None = None
     overall = -1
     for offset, v in enumerate(f.vars.names):
-        r, w = _rank_in_with_witness(f, v, method, trials, seed + offset)
+        r, w, jacobians[v] = _rank_in_with_witness(f, v, method, trials, seed + offset)
         per[v] = r
         if r > overall:
             overall = r
@@ -401,4 +417,5 @@ def rank(f: Polynomial, method: str = "randomized", trials: int = 5, seed: int =
         seed=seed,
         witness_var=witness_var,
         witness=witness,
+        jacobians=jacobians,
     )

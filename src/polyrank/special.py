@@ -19,28 +19,37 @@ after clearing denominators:
 
   where subscripts denote further partials in x_i and x_j.
 
-``is_special`` decides them in this order:
+``is_special`` decides them in this order, building each object once:
 
 1. One randomized rank trial per pivot x_m screens the Jacobian J_m of
-   the coefficient map in x_m; a rank of 2 or more there is proved.
-2. Each pivot the screen puts at rank <= 1 gets an exact test that J_m
-   has rank <= 1.  ``rank1`` is a pass at every pivot: J_m is never zero
-   when f depends on every variable (f would involve x_m alone), so the
-   passes prove rank(f) = 1, and a screen at 2 or a failed test proves
-   rank(f) >= 2.  A screen that misses a rank-2 pivot only sends it to
-   the exact test, so no verdict depends on chance.  The passes also
-   certify identities: rank J_m <= 1 makes f_i = Lambda(x_m, ...) * u_i
-   for every i != m, so f_i / f_j = u_i / u_j is free of x_m;
-   rank J_i, rank J_j <= 1 make f_i / f_j = (f_i / f_m) / (f_j / f_m) an
-   x_j-free part over an x_i-free part, so its mixed logarithmic
-   derivative vanishes.  When ``rank1`` holds every pair check is
-   certified; the identities left make the per-pair report.
-3. Each identity left is evaluated at seeded random integer points,
-   comparing residues modulo the prime 2^61 - 1 (exact rationals when the
-   prime divides a coefficient's denominator); a mismatch proves the
-   sides differ (Schwartz-Zippel).  The default ``exact`` mode uses one
-   point, a ``randomized`` mode 20, and a match everywhere is then the
-   probabilistic verdict "identical".
+   the coefficient map in x_m; a rank of 2 or more there is proved.  The
+   screen's report keeps the Jacobians it built.
+2. Each pivot the screen puts at rank <= 1 gets an exact test that the
+   screen's J_m has rank <= 1.  ``rank1`` is a pass at every pivot: J_m
+   is never zero when f depends on every variable (f would involve x_m
+   alone), so the passes prove rank(f) = 1, and a screen at 2 or a failed
+   test proves rank(f) >= 2.  A screen that misses a rank-2 pivot only
+   sends it to the exact test, so no verdict depends on chance.  The
+   passes also certify identities: rank J_m <= 1 makes
+   f_i = Lambda(x_m, ...) * u_i for every i != m, so f_i / f_j = u_i / u_j
+   is free of x_m; rank J_i, rank J_j <= 1 make
+   f_i / f_j = (f_i / f_m) / (f_j / f_m) an x_j-free part over an x_i-free
+   part, so its mixed logarithmic derivative vanishes.  When ``rank1``
+   holds every pair check is certified; the identities left make the
+   per-pair report.
+3. The identities left read their derivatives from one table per
+   verdict, keyed by the sorted multi-index (f_i, f_ij, f_iij, ...).  The
+   table is built on the cleared multiple D*f, D the lcm of f's
+   coefficient denominators, unless the prime 2^61 - 1 divides D.  Both
+   identities are homogeneous in f, of degree 2 and 4, so clearing
+   changes no verdict, and the derivatives have integer coefficients.
+   Every identity is evaluated at the same seeded random integer points,
+   drawn for the one degree bound 4 * deg f, which bounds the degree of
+   every identity's sides; each distinct derivative is evaluated once per
+   point.  Values are residues modulo the prime (exact rationals when it
+   divides D), and a mismatch proves the sides differ (Schwartz-Zippel).
+   The default ``exact`` mode uses one point, a ``randomized`` mode 20,
+   and a match everywhere is then the probabilistic verdict "identical".
 4. In ``exact`` mode the identities that survive are expanded
    symbolically and their sides compared.
 
@@ -53,13 +62,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable
 
-from .poly import Polynomial
-from .rank import coefficient_map, jacobian, rank, sample_point, trial_values
+from .poly import Polynomial, Scalar
+from .rank import RATIONALS, PolyMatrix, Ring, _cleared_multiple, rank, sample_point, trial_values
 
 #: Trials used by the randomized identity mode.
 RANDOMIZED_IDENTITY_TRIALS = 20
+
+#: A sorted multi-index of variable names: ("x1", "x1", "x2") is d3f/dx1^2 dx2.
+Key = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -109,91 +121,139 @@ def _check_identity_method(method: str) -> None:
         raise ValueError(f"unknown identity method {method!r} (expected 'exact' or 'randomized')")
 
 
-def _identity_holds(
-    factors: tuple[Polynomial, ...], sides: Callable[..., tuple], degree: int, method: str, seed: int
-) -> bool:
-    """Are the two sides ``sides(*factors)`` equal?
+def _degree_or_zero(p: Polynomial) -> int:
+    d = p.total_degree()
+    return d if isinstance(d, int) else 0
 
-    Both methods first apply ``sides`` to the values of ``factors`` at
-    seeded points drawn for ``degree``, the degree of the sides; a mismatch
-    proves the sides differ.  ``exact`` uses one point (trial 0 of
-    ``randomized``) and then compares the expanded symbolic sides, so only
-    identities that survive the point are expanded.  ``randomized`` uses
-    ``RANDOMIZED_IDENTITY_TRIALS`` points and expands nothing.
+
+class _Derivatives:
+    """The partial derivatives of f and their values at seeded points, each
+    computed once.
+
+    f is cleared to D*f unless PRIME divides D, as rank does; a derivative
+    is keyed by its sorted multi-index and built from the one whose key
+    drops the last name.  Trial t evaluates at
+    ``sample_point(seed, t, k, 4 * deg f)``.
+    """
+
+    def __init__(self, f: Polynomial, seed: int):
+        # With PRIME dividing D, f stays as given and every value is exact:
+        # some of its derivatives have residues and some do not.
+        f, self._modular = _cleared_multiple(f)
+        self._polys: dict[Key, Polynomial] = {(): f}
+        self._seed = seed
+        self._degree = 4 * _degree_or_zero(f)
+        self._trials: dict[int, tuple[list[int], dict[Key, Scalar]]] = {}
+        # The ring of every value: ``trial_values`` picks the same one for
+        # every batch of derivatives with integer coefficients.
+        self._ring: Ring = RATIONALS
+
+    def __getitem__(self, key: Iterable[str]) -> Polynomial:
+        key = tuple(sorted(key))
+        p = self._polys.get(key)
+        if p is None:
+            p = self._polys[key] = self[key[:-1]].partial(key[-1])
+        return p
+
+    def values(self, trial: int, keys: Iterable[Key]) -> tuple[list[Scalar], Ring]:
+        """The values of the derivatives ``keys`` at the point of ``trial``,
+        and the ring they live in."""
+        keys = [tuple(sorted(key)) for key in keys]
+        if trial not in self._trials:
+            base = self._polys[()]
+            self._trials[trial] = (sample_point(self._seed, trial, base.vars.k, self._degree), {})
+        point, known = self._trials[trial]
+        missing = [key for key in dict.fromkeys(keys) if key not in known]
+        if missing:
+            polys = [self[key] for key in missing]
+            if self._modular:
+                values, self._ring = trial_values(polys, point)
+            else:
+                values = [p.eval(point) for p in polys]
+            known.update(zip(missing, values))
+        return [known[key] for key in keys], self._ring
+
+
+def _identity_holds(table: _Derivatives, keys: tuple[Key, ...], sides: Callable[..., tuple], method: str) -> bool:
+    """Are the two sides ``sides(*factors)`` equal, the factors being the
+    derivatives ``keys`` of ``table``?
+
+    Both methods first apply ``sides`` to the factors' values at the
+    table's seeded points; a mismatch proves the sides differ.  ``exact``
+    uses one point (trial 0 of ``randomized``) and then compares the
+    expanded symbolic sides, so only identities that survive the point are
+    expanded.  ``randomized`` uses ``RANDOMIZED_IDENTITY_TRIALS`` points
+    and expands nothing.
     """
     _check_identity_method(method)
-    k = factors[0].vars.k
     trials = 1 if method == "exact" else RANDOMIZED_IDENTITY_TRIALS
     for t in range(trials):
-        values, ring = trial_values(factors, sample_point(seed, t, k, degree))
+        values, ring = table.values(t, keys)
         lhs, rhs = sides(*values)
         if not ring.is_zero(lhs - rhs):
             return False
     if method == "randomized":
         return True
-    lhs, rhs = sides(*factors)
+    lhs, rhs = sides(*(table[key] for key in keys))
     return lhs == rhs
 
 
-def ratio_independent_of(f: Polynomial, i: str, j: str, m: str, method: str = "exact", seed: int = 0) -> bool:
+def ratio_independent_of(
+    f: Polynomial, i: str, j: str, m: str, method: str = "exact", seed: int = 0,
+    *, _table: _Derivatives | None = None,
+) -> bool:
     """Does (df/dx_i)/(df/dx_j) not involve x_m?
 
     Tested as the cleared-denominator identity
-    (d2f/di dm) * (df/dj) == (df/di) * (d2f/dj dm).
+    (d2f/di dm) * (df/dj) == (df/di) * (d2f/dj dm) on D*f (see the module
+    docstring).  ``is_special`` passes its verdict's derivative table as
+    ``_table``; a call without one builds its own for f and ``seed``.
     """
     if len({i, j, m}) != 3:
         raise ValueError(f"variables must be distinct, got ({i}, {j}, {m})")
-    fi = f.partial(i)
-    fj = f.partial(j)
-    if fj.is_zero:
+    table = _Derivatives(f, seed) if _table is None else _table
+    if table[(j,)].is_zero:
         raise ValueError(f"denominator derivative d/d{j} is zero")
-    factors = (fi.partial(m), fj, fi, fj.partial(m))
-    degree = 2 * max(map(_degree_or_zero, factors))
-    return _identity_holds(factors, _independence_sides, degree, method, seed)
+    return _identity_holds(table, ((i, m), (j,), (i,), (j, m)), _independence_sides, method)
 
 
 def _independence_sides(fi_m, fj, fi, fj_m):
     return fi_m * fj, fi * fj_m
 
 
-def _degree_or_zero(p: Polynomial) -> int:
-    d = p.total_degree()
-    return d if isinstance(d, int) else 0
-
-
-def ratio_separated(f: Polynomial, i: str, j: str, method: str = "exact", seed: int = 0) -> bool:
+def ratio_separated(
+    f: Polynomial, i: str, j: str, method: str = "exact", seed: int = 0,
+    *, _table: _Derivatives | None = None,
+) -> bool:
     """Does the ratio (df/dx_i)/(df/dx_j) split into x_i-part / x_j-part?
 
     Equivalent to the mixed second logarithmic derivative in (x_i, x_j)
     vanishing; tested after clearing denominators as
-    (g*g_ij - g_i*g_j) * h^2 == (h*h_ij - h_i*h_j) * g^2.
+    (g*g_ij - g_i*g_j) * h^2 == (h*h_ij - h_i*h_j) * g^2 on D*f, with
+    g = df/dx_i, h = df/dx_j and ``_table`` as in
+    :func:`ratio_independent_of`.
     """
     if i == j:
         raise ValueError("variables must be distinct")
-    g = f.partial(i)
-    h = f.partial(j)
-    if g.is_zero or h.is_zero:
+    table = _Derivatives(f, seed) if _table is None else _table
+    if table[(i,)].is_zero or table[(j,)].is_zero:
         raise ValueError("both partial derivatives must be nonzero")
-    g_i, g_j = g.partial(i), g.partial(j)
-    h_i, h_j = h.partial(i), h.partial(j)
-    g_ij, h_ij = g_i.partial(j), h_i.partial(j)
-    degree = 2 * (_degree_or_zero(g) + _degree_or_zero(h))
-    return _identity_holds((g, g_ij, g_i, g_j, h, h_ij, h_i, h_j), _separation_sides, degree, method, seed)
+    keys = ((i,), (i, i, j), (i, i), (i, j), (j,), (i, j, j), (i, j), (j, j))
+    return _identity_holds(table, keys, _separation_sides, method)
 
 
 def _separation_sides(g, g_ij, g_i, g_j, h, h_ij, h_i, h_j):
     return (g * g_ij - g_i * g_j) * (h * h), (h * h_ij - h_i * h_j) * (g * g)
 
 
-def _rank_at_most_one(f: Polynomial, m: str) -> bool:
-    """Is the exact rank of f's coefficient-map Jacobian in pivot ``m`` at
-    most 1?
+def _rank_at_most_one(jac: PolyMatrix) -> bool:
+    """Is the exact rank of the coefficient-map Jacobian ``jac`` at most 1?
 
     Every 2x2 minor through the first nonzero entry must vanish; the test
     multiplies and never divides.  Entries before that one, in row-major
     order, are zero, so only the rows below it can break the rank.
     """
-    rows = jacobian(coefficient_map(f, m)).entries
+    rows = jac.entries
     pivot = next(((r, c) for r, row in enumerate(rows) for c, p in enumerate(row) if not p.is_zero), None)
     if pivot is None:
         return True
@@ -211,32 +271,33 @@ def is_special(f: Polynomial, method: str = "exact", seed: int = 0) -> SpecialFo
     """Full special-form verdict for a polynomial in at least 3 variables.
 
     ``rank1`` is the exact certificate: every pivot passes the rank <= 1
-    test of its Jacobian, after one randomized rank trial per pivot has
-    screened out the pivots it proves to have rank 2 or more.  ``special``
-    is ``rank1`` on a polynomial that depends on every variable.  The pair
-    checks are the per-pair report: identities the passes certify hold,
-    and the rest are refuted modulo a prime and, in ``exact`` mode,
-    expanded if they survive (see the module docstring).
+    test of the Jacobian that one randomized rank trial per pivot built,
+    after that trial has screened out the pivots it proves to have rank 2
+    or more.  ``special`` is ``rank1`` on a polynomial that depends on
+    every variable.  The pair checks are the per-pair report: identities
+    the passes certify hold, and the rest read one derivative table, are
+    refuted at the verdict's seeded points modulo a prime and, in
+    ``exact`` mode, expanded if they survive (see the module docstring).
     """
     _check_identity_method(method)
     if f.vars.k < 3:
         raise ValueError("special-form detection needs at least 3 variables")
-    dep = depends_on_all(f)
-    if not dep:
+    names = f.vars.names
+    table = _Derivatives(f, seed)
+    if any(table[(v,)].is_zero for v in names):
         return SpecialFormVerdict(
             rank1=False, depends_on_all=False, pair_checks={}, verdict="degenerate"
         )
-    names = f.vars.names
     screen = rank(f, method="randomized", trials=1, seed=seed)
-    low = {m for m in names if screen.per_variable[m] <= 1 and _rank_at_most_one(f, m)}
+    low = {m for m in names if screen.per_variable[m] <= 1 and _rank_at_most_one(screen.jacobians[m])}
     checks: dict[tuple[str, str], PairCheck] = {}
     for i, j in combinations(names, 2):
         indep = all(
-            m in low or ratio_independent_of(f, i, j, m, method=method, seed=seed)
+            m in low or ratio_independent_of(f, i, j, m, method=method, seed=seed, _table=table)
             for m in names
             if m not in (i, j)
         )
-        sep = (i in low and j in low) or ratio_separated(f, i, j, method=method, seed=seed)
+        sep = (i in low and j in low) or ratio_separated(f, i, j, method=method, seed=seed, _table=table)
         checks[(i, j)] = PairCheck(independence_ok=indep, separation_ok=sep)
     rank1 = len(low) == len(names)
     verdict = "special" if rank1 else "not_special"

@@ -144,6 +144,32 @@ def test_high_degree_rational_instance_matches_brute_oracle():
     assert inst.incidence_count == expected["incidences"] == inst.sprime_size
 
 
+def test_rational_coefficients_rank_the_cleared_jacobian(monkeypatch):
+    # the minor comes from the Jacobian of D*f, so every partial sees
+    # integers; D scales it by D^(k-1), so S0, S' and the curves (from f's
+    # own alphas) are those of the oracle on f, whose minor x3^2/3
+    # vanishes at x3 = 0
+    f = P("1/2*x1*x3 + 2/3*x2*x3^2 - x1^2")
+    sets = [[-1, 1, 2], [0, 1, 3], [-2, 0, 1]]
+    fraction_partials = []
+    original = Polynomial.partial
+
+    def spy(self, name):
+        fraction_partials.append(any(isinstance(c, Fraction) for c in self.terms.values()))
+        return original(self, name)
+
+    monkeypatch.setattr(Polynomial, "partial", spy)
+    inst = build_instance(f, sets)
+    monkeypatch.undo()
+    assert fraction_partials and not any(fraction_partials)
+    assert inst.witness_rows == (0, 1)
+    expected = brute_instance(f, sets, inst.witness_rows)
+    assert inst.s0_size == expected["S0"] == 9
+    assert inst.sprime_size == expected["Sprime"]
+    assert dict(zip(inst.curves, inst.multiplicities)) == expected["curves"]
+    assert inst.incidence_count == expected["incidences"]
+
+
 @pytest.mark.parametrize("f, sets", [
     (P("x1*x2 + x3"), [[Fraction(-1, 2), 0, Fraction(2, 3)], [Fraction(1, 3), -2, 1], [Fraction(3, 4), Fraction(-1, 6)]]),
     (Polynomial(V3, {(2, 1, 0): Fraction(1, 3), (1, 0, 1): 1, (0, 0, 0): Fraction(-5, 2)}),

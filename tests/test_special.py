@@ -1,5 +1,6 @@
 """Special-form detection via derivative identities."""
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -237,9 +238,9 @@ def test_randomized_identities_evaluate_modulo_prime(monkeypatch):
     assert moduli and set(moduli) == {PRIME}
 
 
-def _expanded_identity_holds(factors, sides, degree, method, seed):
+def _expanded_identity_holds(table, keys, sides, method):
     """Reference rule for exact identities: expand both sides, compare."""
-    lhs, rhs = sides(*factors)
+    lhs, rhs = sides(*(table[key] for key in keys))
     return lhs == rhs
 
 
@@ -314,6 +315,11 @@ def test_special_input_expands_no_sides(monkeypatch):
         assert expanded == [], text
 
 
+def _certificate(f, m):
+    """The rank <= 1 test of f's Jacobian in pivot ``m``."""
+    return special_module._rank_at_most_one(jacobian(coefficient_map(f, m)))
+
+
 def test_rank_certificate_matches_exact_rank():
     rng = random.Random(2609)
     inputs = [IDENTITY_CORPORA[corpus](rng) for corpus in sorted(IDENTITY_CORPORA) for _ in range(10)]
@@ -325,7 +331,7 @@ def test_rank_certificate_matches_exact_rank():
             rows = jacobian(coefficient_map(f, m)).entries
             zero_first_row += all(p.is_zero for p in rows[0])
             zero_first_col += all(row[0].is_zero for row in rows)
-            assert special_module._rank_at_most_one(f, m) == (rank_in(f, m, method="exact") <= 1), (str(f), m)
+            assert _certificate(f, m) == (rank_in(f, m, method="exact") <= 1), (str(f), m)
     assert zero_first_row > 0 and zero_first_col > 0
 
 
@@ -344,7 +350,7 @@ def test_certified_identities_hold_when_expanded(monkeypatch):
         if not depends_on_all(f):
             continue
         names = f.vars.names
-        low = {m for m in names if special_module._rank_at_most_one(f, m)}
+        low = {m for m in names if _certificate(f, m)}
         for i, j in itertools.combinations(names, 2):
             for m in low - {i, j}:
                 assert ratio_independent_of(f, i, j, m), (label, i, j, m)
@@ -403,3 +409,69 @@ def test_rank_screen_is_one_trial(monkeypatch):
         calls.clear()
         is_special(P(text), seed=7)
         assert calls == [{"method": "randomized", "trials": 1, "seed": 7}], text
+
+
+def test_k3_independence_identity_is_the_rank_certificate():
+    # f_i / f_j is free of x_m exactly when columns i and j of J_m are
+    # proportional, and for k = 3 they are J_m's only columns
+    cases = 0
+    for label, f, _ in _rank1_inputs() + [(label, f, seed) for label, f, seed in _exact_differential_inputs()
+                                          if depends_on_all(f)]:
+        if f.vars.k != 3:
+            continue
+        for m in f.vars.names:
+            i, j = (name for name in f.vars.names if name != m)
+            assert ratio_independent_of(f, i, j, m) == _certificate(f, m), (label, m)
+            cases += 1
+    assert cases > 100
+
+
+def test_k4_certificate_implies_its_independence_identities():
+    passes = 0
+    for label, f, _ in _rank1_inputs():
+        if f.vars.k != 4:
+            continue
+        for m in f.vars.names:
+            if not _certificate(f, m):
+                continue
+            passes += 1
+            for i, j in itertools.combinations([name for name in f.vars.names if name != m], 2):
+                assert ratio_independent_of(f, i, j, m), (label, i, j, m)
+    assert passes > 0
+
+
+def _count_work(monkeypatch):
+    """Count the calls of ``Polynomial.partial``, ``Polynomial.eval``,
+    ``coefficient_map`` and ``jacobian`` (in every module that binds the
+    latter two); returns the live counts."""
+    counts = dict.fromkeys(("partial", "eval", "coefficient_map", "jacobian"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("partial", "eval"):
+        monkeypatch.setattr(Polynomial, name, counting(name, getattr(Polynomial, name)))
+    for module in (importlib.import_module("polyrank.rank"), special_module):
+        for name in ("coefficient_map", "jacobian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
+
+
+@pytest.mark.parametrize("text, bounds", [
+    # the certificate tests the screen's Jacobians: one map and one
+    # Jacobian per pivot, and partials for the Jacobians and f_1, f_2, f_3
+    ("(x1+x2^2+x3^3)^3", {"coefficient_map": 3, "jacobian": 3, "partial": 27}),
+    # the identities take each distinct derivative once and evaluate it
+    # once at the verdict's one point
+    ("(x1+x2^2+x3^3)^3 + x1*x2^2", {"coefficient_map": 3, "jacobian": 3, "partial": 39, "eval": 40}),
+])
+def test_is_special_builds_each_thing_once(monkeypatch, text, bounds):
+    f = P(text)
+    counts = _count_work(monkeypatch)
+    is_special(f)
+    for name, bound in bounds.items():
+        assert counts[name] <= bound, (name, counts)
