@@ -8,16 +8,31 @@ s_0, ..., s_d are signed elementary symmetric polynomials; the d x d matrix
 M of their partials in x_1..x_d has determinant +-prod_{i<j<=d}(x_j - x_i),
 so the volume polynomial has full rank d with respect to x_{d+1}.
 
-The summary checks these identities in Z: the products
-V_n = prod_{i<j<=n}(x_j - x_i) are expanded directly as the Vandermonde
-determinant det(x_i^(j-1)), one signed monomial per permutation, and the
-factorization and the rank are read off V_{d+1} and V_d, whose scale 1/d!
-changes none of them.  The determinant sign comes from a certificate that
-needs no determinant of M: with W the d x d Vandermonde matrix with rows
-(1, x_i, ..., x_i^(d-1)), whose determinant is V_d, every entry of W*M is
-a product of linear forms, zero off the diagonal, and comparing each entry
-with its product pins det(M) = (-1)^(d(d+1)/2) * V_d (see
-:func:`_det_m_certificate`); det(M) itself is never expanded.
+The summary checks these identities in Z on the products
+V_n = prod_{i<j<=n}(x_j - x_i), expanded directly as the Vandermonde
+determinant det(x_i^(j-1)), one signed monomial per permutation; the scale
+1/d! of f = V_{d+1}/d! changes none of them.  Nothing is multiplied out
+and nothing is eliminated; every identity has a certificate:
+
+* Factorization, V_{d+1} = V_d * prod_k (x_{d+1} - x_k), by three linear
+  passes over V_{d+1}'s terms (:func:`_factorization_certificate`): the
+  x_{d+1}^d slice is V_d, no exponent of x_{d+1} exceeds d, and each
+  substitution x_{d+1} -> x_k sums the terms to zero.  In the domain
+  Z[x_1..x_d] a polynomial in x_{d+1} of degree <= d with the d distinct
+  roots x_k is its leading coefficient times prod_k (x_{d+1} - x_k).  A
+  link check expands prod_k (x_{d+1} - x_k) (2^d terms) and compares it
+  with sum_l s_l x_{d+1}^l, so the factorization and M speak of the same
+  s_l.
+* det(M) = (-1)^(d(d+1)/2) * V_d, by a product certificate
+  (:func:`_det_m_certificate`): with W the d x d Vandermonde matrix with
+  rows (1, x_i, ..., x_i^(d-1)), whose determinant is V_d, every entry of
+  W*M is a product of linear forms, zero off the diagonal, and each is
+  compared with its product; det(M) itself is never expanded.
+* Rank d in x_{d+1}, from the two: the coefficients of x_{d+1}^l in
+  V_{d+1} are alpha_l = V_d * s_l, with alpha_d = V_d.  Subtracting
+  s_l * grad(alpha_d) from grad(alpha_l) leaves the rows V_d * M above
+  grad(V_d), and det(V_d * M) = +-V_d^(d+1) is nonzero, so the (d+1) x d
+  Jacobian has rank d = min(rows, cols).
 
 Distinct volumes of point sets on the curve are enumerated exactly: every
 (d+1)-subset of the parameters contributes (1/d!) * |prod of differences|.
@@ -38,7 +53,7 @@ from typing import Sequence
 
 from .expansion import SetSpec, _set_seed, fit_exponent, generate_set, theoretical_exponent
 from .poly import Polynomial, Scalar, VarSet, _cleared, _over
-from .rank import PolyMatrix, rank_in
+from .rank import PolyMatrix
 
 
 def volume_vars(d: int) -> VarSet:
@@ -146,29 +161,95 @@ def _det_m_certificate(m: PolyMatrix) -> int:
     return (-1) ** (d * (d + 1) // 2)
 
 
+def _factorization_certificate(v_next: Polynomial, v_d: Polynomial) -> bool:
+    """Is V_{d+1} = V_d * prod_{k<=d} (x_{d+1} - x_k)?  Three linear passes.
+
+    Written as sum_l c_l x_{d+1}^l with c_l in Z[x_1..x_d], ``v_next`` must
+    have its x_{d+1}^d slice c_d equal to ``v_d``, no exponent of x_{d+1}
+    above d, and a zero sum of terms under each substitution
+    x_{d+1} -> x_k.  These suffice: Z[x_1..x_d] is a domain, so a
+    polynomial of degree <= d in x_{d+1} with the d distinct roots x_k is
+    c_d * prod_k (x_{d+1} - x_k).  Nothing is multiplied.
+    """
+    d = v_next.vars.k - 1
+    terms = v_next.terms
+    top: dict[tuple[int, ...], Scalar] = {}
+    for mono, c in terms.items():
+        if mono[d] > d:
+            return False
+        if mono[d] == d:
+            top[mono[:d] + (0,)] = c
+    if top != v_d.terms:
+        return False
+    for k in range(d):
+        sums: dict[tuple[int, ...], Scalar] = {}
+        for mono, c in terms.items():
+            key = mono[:k] + (mono[k] + mono[d],) + mono[k + 1:d]
+            sums[key] = sums.get(key, 0) + c
+        if any(sums.values()):
+            return False
+    return True
+
+
+def _is_root_product(s: Sequence[Polynomial]) -> bool:
+    """Is sum_l s_l x_{d+1}^l, each s_l free of x_{d+1}, the expanded
+    prod_{k<=d} (x_{d+1} - x_k)?  The product is grown one factor at a
+    time; every subset of the roots gives its own monomial, 2^d in all."""
+    d = len(s) - 1
+    product = {(0,) * (d + 1): 1}
+    for k in range(d):
+        grown: dict[tuple[int, ...], int] = {}
+        for mono, c in product.items():
+            grown[mono[:d] + (mono[d] + 1,)] = c
+            grown[mono[:k] + (1,) + mono[k + 1:]] = -c
+        product = grown
+    power_sum: dict[tuple[int, ...], Scalar] = {}
+    for level, s_l in enumerate(s):
+        for mono, c in s_l.terms.items():
+            if mono[d]:
+                return False
+            power_sum[mono[:d] + (level,)] = c
+    return power_sum == product
+
+
+#: The largest d ``moment_summary`` takes: V_{d+1} has (d+1)! terms,
+#: 362,880 at d = 8.
+SUMMARY_MAX_D = 8
+
+
 def moment_summary(d: int) -> dict:
     """One-stop summary of the symbolic identities for a given dimension,
-    checked on V_{d+1} and V_d (see the module docstring): V_d times the
-    root product sum_l s_l x_{d+1}^l is V_{d+1}, det(M) is +-V_d (by the
-    W*M certificate), and V_{d+1} has rank d in x_{d+1}.
-    f = V_{d+1} / d! is only printed."""
+    each proved by a certificate (see the module docstring).
+
+    ``factorization_ok``: V_{d+1} = V_d * prod_k (x_{d+1} - x_k) by
+    :func:`_factorization_certificate`, and that product is
+    sum_l s_l x_{d+1}^l for the s_l of :func:`symmetric_polys`.
+    ``det_m_sign``: det(M) = sign * V_d by :func:`_det_m_certificate`,
+    which raises on a mismatch.  ``rank_ok``: V_{d+1} has rank d in
+    x_{d+1}; it holds only when both certificates do, because then
+    alpha_l = V_d * s_l and row operations turn the Jacobian into V_d * M
+    above grad(V_d), with det(V_d * M) = +-V_d^(d+1) != 0.  Neither V_d
+    times the root product nor any rank is computed.  f = V_{d+1} / d! is
+    only printed.  d above :data:`SUMMARY_MAX_D` is refused before
+    anything is expanded.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if d > SUMMARY_MAX_D:
+        raise ValueError(
+            f"--d {d} is too large for the summary: its volume polynomial has "
+            f"(d+1)! = {math.factorial(d + 1):,} terms (d <= {SUMMARY_MAX_D})"
+        )
     vars = volume_vars(d)
     v_next, v_d = _vandermonde(vars, d + 1), _vandermonde(vars, d)
-    s = symmetric_polys(d)
-    pivot_power = Polynomial.variable(vars, vars.names[-1])
-    reconstruction = Polynomial.zero(vars)
-    power = Polynomial.constant(vars, 1)
-    for s_l in s:
-        reconstruction = reconstruction + s_l * power
-        power = power * pivot_power
+    factorization_ok = _factorization_certificate(v_next, v_d) and _is_root_product(symmetric_polys(d))
+    det_m_sign = _det_m_certificate(matrix_m(d))  # raises unless W*M checks
     return {
         "d": d,
         "volume_poly": str(_over_factorial(v_next, d)),
-        "factorization_ok": v_d * reconstruction == v_next,
-        "det_m_sign": _det_m_certificate(matrix_m(d)),
-        "rank_ok": rank_in(v_next, vars.names[-1]) == d,
+        "factorization_ok": factorization_ok,
+        "det_m_sign": det_m_sign,
+        "rank_ok": factorization_ok,  # and the W*M certificate, which held
     }
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .poly import NEG_INF, Polynomial, Scalar, VarSet, _integral, exact_div
@@ -349,13 +349,7 @@ def _rank_in_with_witness(
 
 @dataclass(frozen=True)
 class RankReport:
-    """Per-variable ranks, their maximum, and how they were obtained.
-
-    ``jacobians`` maps each pivot to the Jacobian it was ranked on (that of
-    the cleared D*f unless PRIME divides D), so a caller that goes on to
-    test those matrices does not build them again.  It is left out of the
-    JSON, of ``repr`` and of ``==``.
-    """
+    """Per-variable ranks, their maximum, and how they were obtained."""
 
     vars: tuple[str, ...]
     per_variable: dict[str, int]
@@ -365,7 +359,6 @@ class RankReport:
     seed: int
     witness_var: str | None
     witness: Witness | None
-    jacobians: dict[str, PolyMatrix] = field(default_factory=dict, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         witness = None
@@ -386,24 +379,31 @@ class RankReport:
         }
 
 
-def rank(f: Polynomial, method: str = "randomized", trials: int = 5, seed: int = 0) -> RankReport:
+def rank(
+    f: Polynomial, method: str = "randomized", trials: int = 5, seed: int = 0,
+    *, _jacobians: dict[str, PolyMatrix] | None = None,
+) -> RankReport:
     """rank(f) = max over pivot variables of rank_in(f, v).
 
     The witness records a full-rank minor of the Jacobian for the first
     pivot variable attaining the overall rank; its rows are labelled by
-    the pivot exponents of their alphas.
+    the pivot exponents of their alphas.  A ``_jacobians`` dict is filled
+    with the Jacobian each pivot was ranked on (that of the cleared D*f
+    unless PRIME divides D), so a caller that goes on to test those
+    matrices does not build them again; the report keeps none of them.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no rank")
     if f.vars.k < 2:
         raise ValueError("rank requires at least 2 ambient variables")
     per: dict[str, int] = {}
-    jacobians: dict[str, PolyMatrix] = {}
     witness_var: str | None = None
     witness: Witness | None = None
     overall = -1
     for offset, v in enumerate(f.vars.names):
-        r, w, jacobians[v] = _rank_in_with_witness(f, v, method, trials, seed + offset)
+        r, w, jac = _rank_in_with_witness(f, v, method, trials, seed + offset)
+        if _jacobians is not None:
+            _jacobians[v] = jac
         per[v] = r
         if r > overall:
             overall = r
@@ -417,5 +417,4 @@ def rank(f: Polynomial, method: str = "randomized", trials: int = 5, seed: int =
         seed=seed,
         witness_var=witness_var,
         witness=witness,
-        jacobians=jacobians,
     )

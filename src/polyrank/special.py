@@ -23,7 +23,8 @@ after clearing denominators:
 
 1. One randomized rank trial per pivot x_m screens the Jacobian J_m of
    the coefficient map in x_m; a rank of 2 or more there is proved.  The
-   screen's report keeps the Jacobians it built.
+   screen hands the Jacobians it built to the verdict; its report keeps
+   none.
 2. Each pivot the screen puts at rank <= 1 gets an exact test that the
    screen's J_m has rank <= 1.  ``rank1`` is a pass at every pivot: J_m
    is never zero when f depends on every variable (f would involve x_m
@@ -288,8 +289,9 @@ def is_special(f: Polynomial, method: str = "exact", seed: int = 0) -> SpecialFo
         return SpecialFormVerdict(
             rank1=False, depends_on_all=False, pair_checks={}, verdict="degenerate"
         )
-    screen = rank(f, method="randomized", trials=1, seed=seed)
-    low = {m for m in names if screen.per_variable[m] <= 1 and _rank_at_most_one(screen.jacobians[m])}
+    jacobians: dict[str, PolyMatrix] = {}
+    screen = rank(f, method="randomized", trials=1, seed=seed, _jacobians=jacobians)
+    low = {m for m in names if screen.per_variable[m] <= 1 and _rank_at_most_one(jacobians[m])}
     checks: dict[tuple[str, str], PairCheck] = {}
     for i, j in combinations(names, 2):
         indep = all(

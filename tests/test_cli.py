@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyrank import moment as moment_module
 from polyrank.cli import main
 
 
@@ -47,6 +48,15 @@ def test_moment_points_command(capsys):
 def test_moment_summary_command(capsys):
     doc = run_json(capsys, "moment", "--d", "3", "--summary")
     assert doc["rank_ok"] and doc["factorization_ok"]
+
+
+def test_moment_summary_refuses_d_9(capsys, monkeypatch):
+    monkeypatch.setattr(moment_module, "_vandermonde", lambda *args: pytest.fail("expanded"))
+    code, out, err = run_cli(capsys, "moment", "--d", "9", "--summary")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("polyrank: error: ")
+    assert "--d 9" in err and "3,628,800 terms" in err
 
 
 def test_reduce_command(capsys):

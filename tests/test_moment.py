@@ -20,7 +20,8 @@ from polyrank import (
     volume_expansion_report,
     volume_poly,
 )
-from polyrank.moment import _det_m_certificate, _vandermonde, volume_vars
+from polyrank import moment as moment_module
+from polyrank.moment import SUMMARY_MAX_D, _det_m_certificate, _vandermonde, volume_vars
 from polyrank.rank import PolyMatrix, _randomized_rank, coefficient_map, jacobian
 
 from gens import canonical_types, det_m_sign, vandermonde_fold, vandermonde_matrix
@@ -137,6 +138,89 @@ def _fraction_summary(d):
 def test_moment_summary_matches_fraction_reference():
     for d in range(1, 7):
         assert moment_summary(d) == _fraction_summary(d)
+
+
+def _edited(v, mono, c):
+    """v with the coefficient of ``mono`` set to c (0 drops the term)."""
+    terms = {**v.terms, mono: c}
+    return Polynomial(v.vars, {m: value for m, value in terms.items() if value})
+
+
+def _missed_root(v):
+    # V_d * (x_{d+1} - 2*x_1) * prod_{k>=2}(x_{d+1} - x_k) keeps the top
+    # slice and the degree; only the substitution x_{d+1} -> x_1 fails
+    d = v.vars.k - 1
+    xs = [Polynomial.variable(v.vars, name) for name in v.vars.names]
+    roots = [2 * xs[0]] + xs[1:d]
+    return [math.prod((xs[d] - root for root in roots), start=vandermonde_fold(v.vars, d))]
+
+
+def _degree_d_plus_1_multiple(v):
+    # adding prod_k (x_{d+1} - x_k) * (x_{d+1} + x_1 + ... + x_d) keeps
+    # every root and the x_{d+1}^d slice (s_{d-1} = -(x_1 + ... + x_d)
+    # cancels); only the degree bound fails
+    d = v.vars.k - 1
+    xs = [Polynomial.variable(v.vars, name) for name in v.vars.names]
+    return [v + math.prod((xs[d] - x for x in xs[:d]), start=sum(xs, Polynomial.zero(v.vars)))]
+
+
+#: Broken copies of V_{d+1}, none of them V_d * prod_k (x_{d+1} - x_k).
+FACTORIZATION_MUTANTS = {
+    # every term, in the x_{d+1}^d slice (caught there) and below it
+    # (caught by a substitution x_{d+1} -> x_k)
+    "dropped_term": lambda v: [_edited(v, mono, 0) for mono in v.terms],
+    "flipped_top_term": lambda v: [_edited(v, mono, -c) for mono, c in v.terms.items()
+                                   if mono[-1] == v.vars.k - 1],
+    "term_above_degree_d": lambda v: [_edited(v, (e,) + (0,) * (v.vars.k - 2) + (v.vars.k,), 1)
+                                      for e in (0, 1)],
+    "missed_root": _missed_root,
+    # 2*V_{d+1} keeps the degree and every root; only the top slice fails
+    "multiple": lambda v: [2 * v],
+    "degree_d_plus_1_multiple": _degree_d_plus_1_multiple,
+}
+
+
+def _assert_refuted(summary):
+    assert summary["factorization_ok"] is False
+    assert summary["rank_ok"] is False
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("mutant", list(FACTORIZATION_MUTANTS))
+def test_summary_rejects_a_broken_factorization(monkeypatch, mutant, d):
+    for broken in FACTORIZATION_MUTANTS[mutant](_vandermonde(volume_vars(d), d + 1)):
+        monkeypatch.setattr(moment_module, "_vandermonde",
+                            lambda vars, count: broken if count == d + 1 else _vandermonde(vars, count))
+        _assert_refuted(moment_summary(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_summary_links_the_factorization_to_s(monkeypatch, d):
+    # the link check ties the certified root product to the s_l behind M;
+    # each mutant leaves M, so the W*M certificate holds:
+    # s_0 + 1 changes the product; s_0 + x_{d+1} with s_1 - 1 keeps
+    # sum_l s_l x_{d+1}^l but puts x_{d+1} into a coefficient; and
+    # s_d = x_{d+1} (s_d is not in M) differs from 1 only in x_{d+1}
+    vars = volume_vars(d)
+    one, t = Polynomial.constant(vars, 1), Polynomial.variable(vars, vars.names[-1])
+    for shifts in ({0: one}, {0: t, 1: -one}, {d: t - one}):
+        def mutated(dim, shifts=shifts):
+            s = list(symmetric_polys(dim))
+            for level, shift in shifts.items():
+                s[level] = s[level] + shift
+            return tuple(s)
+
+        monkeypatch.setattr(moment_module, "symmetric_polys", mutated)
+        assert _det_m_certificate(moment_module.matrix_m(d)) == det_m_sign(d)
+        _assert_refuted(moment_summary(d))
+
+
+def test_summary_refuses_large_d_before_expanding(monkeypatch):
+    monkeypatch.setattr(moment_module, "_vandermonde", lambda *args: pytest.fail("expanded"))
+    monkeypatch.setattr(moment_module, "symmetric_polys", lambda *args: pytest.fail("expanded"))
+    for d in (SUMMARY_MAX_D + 1, 12):
+        with pytest.raises(ValueError, match=rf"--d {d}\b.*\(d\+1\)! = {math.factorial(d + 1):,} terms"):
+            moment_summary(d)
 
 
 def test_matrix_m_small_cases():

@@ -400,9 +400,13 @@ def test_rank_screen_is_one_trial(monkeypatch):
     calls = []
     original = special_module.rank
 
-    def spy(*args, **kwargs):
+    def spy(*args, _jacobians, **kwargs):
         calls.append(kwargs)
-        return original(*args, **kwargs)
+        report = original(*args, _jacobians=_jacobians, **kwargs)
+        # the Jacobians go to the verdict only, one per pivot
+        assert set(_jacobians) == set(report.vars)
+        assert not hasattr(report, "jacobians")
+        return report
 
     monkeypatch.setattr(special_module, "rank", spy)
     for text in ("(x1 + x2^2 + x3^3)^3", "x1*x2 + x3"):
