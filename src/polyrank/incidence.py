@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .expansion import DEFAULT_BUDGET, image_size
 from .poly import Polynomial, Scalar, _as_scalar
-from .rank import _cleared_multiple, coefficient_map, generic_rank_exact, jacobian
+from .rank import _rank_in_with_witness, coefficient_map
 
 CoeffVector = tuple[Scalar, ...]
 
@@ -69,14 +69,13 @@ def build_instance(
 ) -> IncidenceInstance:
     """Build the full S / S_0 / S' decomposition and count incidences.
 
-    The certifying minor is the pivot minor of the exact rank engine on
-    the Jacobian of the coefficient map, nonzero by construction; its rows
-    are reported by the pivot exponents i of their alphas (the labels rank
-    reports for witness rows).  As rank does, the Jacobian is that of the
-    cleared multiple D*f unless PRIME divides D: scaling by D scales each
-    minor by D^(k-1), so the witness and the suffixes that kill it are
-    those of f, while the partials see integers.  The curves take f's own
-    alphas.
+    The certifying minor is the pivot minor of exact ``rank_in`` in the
+    first variable, nonzero by construction; its rows are reported by the
+    pivot exponents i of their alphas (the labels rank reports for witness
+    rows).  So the Jacobian is that of the cleared multiple D*f unless
+    PRIME divides D: scaling by D scales each minor by D^(k-1), so the
+    witness and the suffixes that kill it are those of f, while the
+    partials see integers.  The curves take f's own alphas.
     """
     vars = f.vars
     k = vars.k
@@ -84,12 +83,10 @@ def build_instance(
         raise ValueError(f"need {k} sets, got {len(sets)}")
     pivot = vars.names[0]
     cm = coefficient_map(f, pivot)
-    cleared, _ = _cleared_multiple(f)
-    jac = jacobian(cm if cleared is f else coefficient_map(cleared, pivot))
-    r, witness = generic_rank_exact(jac)
+    r, witness, jac = _rank_in_with_witness(f, pivot, "exact", 0, 0)
     if r != k - 1:
         raise ValueError(f"rank with respect to {pivot} is {r}, need full rank {k - 1}")
-    minor_det = jac.submatrix(witness.rows, range(k - 1)).determinant()
+    minor_det = jac.submatrix([cm.exponents.index(e) for e in witness.rows], range(k - 1)).determinant()
 
     a1_size = len(sets[0])
     suffix_count = math.prod(len(s) for s in sets[1:])
@@ -121,7 +118,7 @@ def build_instance(
     return IncidenceInstance(
         f=f,
         image_size=image_count,
-        witness_rows=tuple(cm.exponents[i] for i in witness.rows),
+        witness_rows=witness.rows,
         s_size=suffix_count * a1_size,
         s0_size=degenerate_suffixes * a1_size,
         sprime_size=(suffix_count - degenerate_suffixes) * a1_size,

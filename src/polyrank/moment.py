@@ -45,7 +45,6 @@ map.  A signed mode also counts both orientations of each simplex.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -319,16 +318,14 @@ def volume_expansion_report(
     rows = []
     for n in n_list:
         params = generate_set(SetSpec(kind=generator, n=n, seed=_set_seed(seed, 0)))
-        started = time.perf_counter()
-        count = distinct_volumes(params, d, signed=signed).count
-        rows.append((n, count, time.perf_counter() - started))
-    fitted = fit_exponent([(n, count) for n, count, _ in rows]) if len(rows) >= 3 else None
+        rows.append((n, distinct_volumes(params, d, signed=signed).count))
+    fitted = fit_exponent(rows) if len(rows) >= 3 else None
     return {
         "d": d,
         "generator": generator,
         "seed": seed,
         "signed_mode": signed,
-        "rows": [{"n": n, "count": count} for n, count, _ in rows],
+        "rows": [{"n": n, "count": count} for n, count in rows],
         "theoretical_exponent": str(theoretical_exponent(d)),
         "fitted_exponent": fitted,
     }

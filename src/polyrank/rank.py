@@ -13,9 +13,10 @@ than one per power of v up to deg_v(f).  A zero alpha_i only adds a zero
 row, which changes no rank; witness rows are reported as exponent labels,
 which are the row indices of the dense Jacobian over alpha_0..alpha_d.
 
-Ranks and determinants come from one fraction-free Bareiss routine
-(Bareiss 1968) that takes its ring as four operations: multiply,
-subtract, exact divide and is-zero.  Two rank methods are provided:
+Ranks, determinants and the special-form test of rank <= 1 come from one
+fraction-free Bareiss routine (Bareiss 1968) that takes its ring as four
+operations: multiply, subtract, exact divide and is-zero.  Two rank
+methods are provided:
 
 * ``exact``: eliminate over the polynomial ring.
 * ``randomized``: evaluate the matrix at seeded random integer points

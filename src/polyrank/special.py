@@ -26,14 +26,17 @@ after clearing denominators:
    screen hands the Jacobians it built to the verdict; its report keeps
    none.
 2. Each pivot the screen puts at rank <= 1 gets an exact test that the
-   screen's J_m has rank <= 1.  ``rank1`` is a pass at every pivot: J_m
-   is never zero when f depends on every variable (f would involve x_m
-   alone), so the passes prove rank(f) = 1, and a screen at 2 or a failed
-   test proves rank(f) >= 2.  A screen that misses a rank-2 pivot only
-   sends it to the exact test, so no verdict depends on chance.  The
-   passes also certify identities: rank J_m <= 1 makes
-   f_i = Lambda(x_m, ...) * u_i for every i != m, so f_i / f_j = u_i / u_j
-   is free of x_m; rank J_i, rank J_j <= 1 make
+   screen's J_m has rank <= 1: rank's Bareiss elimination over the
+   polynomial ring.  At k = 3, J_m has two columns, so only its first,
+   division-free step eliminates anything; at k >= 4 a pivot the screen
+   wrongly put at <= 1 runs the full exact elimination.  ``rank1`` is a
+   pass at every pivot: J_m is never zero when f depends on every
+   variable (f would involve x_m alone), so the passes prove rank(f) = 1,
+   and a screen at 2 or a failed test proves rank(f) >= 2.  A screen that
+   misses a rank-2 pivot only sends it to the exact test, so no verdict
+   depends on chance.  The passes also certify identities:
+   rank J_m <= 1 makes f_i = Lambda(x_m, ...) * u_i for every i != m, so
+   f_i / f_j = u_i / u_j is free of x_m; rank J_i, rank J_j <= 1 make
    f_i / f_j = (f_i / f_m) / (f_j / f_m) an x_j-free part over an x_i-free
    part, so its mixed logarithmic derivative vanishes.  When ``rank1``
    holds every pair check is certified; the identities left make the
@@ -66,7 +69,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .poly import Polynomial, Scalar
-from .rank import RATIONALS, PolyMatrix, Ring, _cleared_multiple, rank, sample_point, trial_values
+from .rank import POLYNOMIALS, RATIONALS, PolyMatrix, Ring, _cleared_multiple, bareiss, rank, sample_point, trial_values
 
 #: Trials used by the randomized identity mode.
 RANDOMIZED_IDENTITY_TRIALS = 20
@@ -247,27 +250,6 @@ def _separation_sides(g, g_ij, g_i, g_j, h, h_ij, h_i, h_j):
     return (g * g_ij - g_i * g_j) * (h * h), (h * h_ij - h_i * h_j) * (g * g)
 
 
-def _rank_at_most_one(jac: PolyMatrix) -> bool:
-    """Is the exact rank of the coefficient-map Jacobian ``jac`` at most 1?
-
-    Every 2x2 minor through the first nonzero entry must vanish; the test
-    multiplies and never divides.  Entries before that one, in row-major
-    order, are zero, so only the rows below it can break the rank.
-    """
-    rows = jac.entries
-    pivot = next(((r, c) for r, row in enumerate(rows) for c, p in enumerate(row) if not p.is_zero), None)
-    if pivot is None:
-        return True
-    pr, pc = pivot
-    top, lead = rows[pr], rows[pr][pc]
-    return all(
-        lead * row[c] == top[c] * row[pc]
-        for row in rows[pr + 1:]
-        for c in range(len(row))
-        if c != pc
-    )
-
-
 def is_special(f: Polynomial, method: str = "exact", seed: int = 0) -> SpecialFormVerdict:
     """Full special-form verdict for a polynomial in at least 3 variables.
 
@@ -291,7 +273,8 @@ def is_special(f: Polynomial, method: str = "exact", seed: int = 0) -> SpecialFo
         )
     jacobians: dict[str, PolyMatrix] = {}
     screen = rank(f, method="randomized", trials=1, seed=seed, _jacobians=jacobians)
-    low = {m for m in names if screen.per_variable[m] <= 1 and _rank_at_most_one(jacobians[m])}
+    low = {m for m in names if screen.per_variable[m] <= 1
+           and bareiss([list(row) for row in jacobians[m].entries], POLYNOMIALS)[0] <= 1}
     checks: dict[tuple[str, str], PairCheck] = {}
     for i, j in combinations(names, 2):
         indep = all(

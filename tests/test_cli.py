@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyrank import VarSet, bound_ratios, build_instance, parse
 from polyrank import moment as moment_module
 from polyrank.cli import main
 
@@ -220,6 +221,18 @@ def test_incidence_eps_outside_unit_interval_is_usage_error(capsys, value):
     assert code == 2
     assert out == ""
     assert "(0, 1]" in err
+
+
+@pytest.mark.parametrize("poly, names, sets", [
+    ("x1*x2 + x3", ("x1", "x2", "x3"), [[1, 2, 3]] * 3),
+    # k = 2: a one-dimensional family, the trivial bound's branch
+    ("x1*x2 + x2^2", ("x1", "x2"), [[1, 2, 3], [1, 2, 4]]),
+])
+def test_incidence_eps_sets_the_bound(capsys, poly, names, sets):
+    text = "|".join(",".join(map(str, s)) for s in sets)
+    doc = run_json(capsys, "incidence", "--poly", poly, "--vars", ",".join(names), "--sets", text, "--eps", "0.5")
+    inst = build_instance(parse(poly, VarSet(names)), sets)
+    assert doc["sz_ratio"] == bound_ratios(inst, eps=0.5)["sz_ratio"]
 
 
 def test_explicit_sets_are_canonical_and_checked(capsys):

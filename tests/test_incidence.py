@@ -298,6 +298,15 @@ def test_bound_ratio_formulas():
     assert report["st_ratio"] == pytest.approx(inst.incidence_count / report["st_bound"])
 
 
+def test_bound_ratio_one_dimensional_family():
+    inst = build_instance(P("x1*x2 + x2^2", var_set(2)), [[1, 2, 3], [1, 2, 4]])
+    report = bound_ratios(inst, eps=0.5)
+    m, n = report["points"], report["curves"]
+    assert report["family_dimension"] == 1
+    # at s = 1 the family term degenerates to the trivial bound m * n
+    assert report["sz_bound"] == pytest.approx(m * n + report["st_bound"])
+
+
 def test_bound_ratio_empty_instance():
     inst = build_instance(P("x1*x2^2 + x3"), [[1, 2], [0], [1, 2]])
     report = bound_ratios(inst)

@@ -129,6 +129,21 @@ def test_grid_reduce_degenerate_singleton_errors():
         grid_reduce(f, "x1", [[1, 2], [1, 2], [1, 2], [0]], seed=0)
 
 
+def test_grid_reduce_draws_from_a_large_grid():
+    # rank 1 in x1 keeps one of x2..x5 and fixes the other three; their
+    # grid of 12^3 values exceeds the attempt budget, so values are drawn
+    f = P("x1*x2*(x3 - x4*x5) + x1^2*x2^2*(x3 - x4*x5)^2", V5)
+    sets = [[i + 5 * j for j in range(12)] for i in range(5)]
+    result = grid_reduce(f, "x1", sets, seed=4, max_attempts=20)
+    assert len(result.fixed_assignment) == 3
+    assert result.certified_rank == 1
+    assert rank_in(result.restricted, "x1", method="exact") == 1
+    for name, value in result.fixed_assignment.items():
+        assert value in sets[f.vars.index(name)]
+    assert 1 <= result.attempts <= 20
+    assert grid_reduce(f, "x1", sets, seed=4, max_attempts=20) == result
+
+
 def test_grid_reduce_validates_sets():
     f = P("x1*x2 + x3 + x4")
     with pytest.raises(ValueError, match="empty"):

@@ -1,5 +1,6 @@
 """Special-form detection via derivative identities."""
 
+import dataclasses
 import importlib
 import itertools
 import random
@@ -20,7 +21,7 @@ from polyrank import (
     ratio_separated,
 )
 from polyrank import special as special_module
-from polyrank.rank import PRIME, RATIONALS
+from polyrank.rank import POLYNOMIALS, PRIME, RATIONALS, bareiss
 from gens import (
     dense_random_polynomial,
     gapped_random_polynomial,
@@ -316,8 +317,18 @@ def test_special_input_expands_no_sides(monkeypatch):
 
 
 def _certificate(f, m):
-    """The rank <= 1 test of f's Jacobian in pivot ``m``."""
-    return special_module._rank_at_most_one(jacobian(coefficient_map(f, m)))
+    """The rank <= 1 test of f's Jacobian in pivot ``m``, as ``is_special``
+    runs it."""
+    return bareiss([list(row) for row in jacobian(coefficient_map(f, m)).entries], POLYNOMIALS)[0] <= 1
+
+
+def _minors_vanish(f, m):
+    """Independent reference: every 2x2 minor of f's Jacobian in pivot
+    ``m`` is zero."""
+    rows = jacobian(coefficient_map(f, m)).entries
+    return all(a[c] * b[d] == a[d] * b[c]
+               for a, b in itertools.combinations(rows, 2)
+               for c, d in itertools.combinations(range(len(a)), 2))
 
 
 def test_rank_certificate_matches_exact_rank():
@@ -331,7 +342,7 @@ def test_rank_certificate_matches_exact_rank():
             rows = jacobian(coefficient_map(f, m)).entries
             zero_first_row += all(p.is_zero for p in rows[0])
             zero_first_col += all(row[0].is_zero for row in rows)
-            assert _certificate(f, m) == (rank_in(f, m, method="exact") <= 1), (str(f), m)
+            assert _certificate(f, m) == _minors_vanish(f, m) == (rank_in(f, m, method="exact") <= 1), (str(f), m)
     assert zero_first_row > 0 and zero_first_col > 0
 
 
@@ -413,6 +424,36 @@ def test_rank_screen_is_one_trial(monkeypatch):
         calls.clear()
         is_special(P(text), seed=7)
         assert calls == [{"method": "randomized", "trials": 1, "seed": 7}], text
+
+
+@pytest.mark.parametrize("text, vars, divides", [
+    # k = 3: J_m has two columns, so the only step is the division-free one
+    ("x1*x2 + x3", V3, False),
+    # k = 4: J_x1 has three rows and rank 2, so the second step divides
+    ("(x2 + x4)*(x1^2 + x3) + x1*x3", V4, True),
+])
+def test_screen_miss_is_caught_by_the_exact_test(monkeypatch, text, vars, divides):
+    original = special_module.rank
+
+    def missing(*args, _jacobians, **kwargs):
+        # the screen builds the true Jacobians but puts every pivot at <= 1
+        report = original(*args, _jacobians=_jacobians, **kwargs)
+        assert report.overall == 2
+        return dataclasses.replace(report, per_variable=dict.fromkeys(report.vars, 1), overall=1)
+
+    rank_module = importlib.import_module("polyrank.rank")
+    exact_div, divisions = rank_module.exact_div, []
+
+    def counting_div(a, b):
+        divisions.append(b)
+        return exact_div(a, b)
+
+    monkeypatch.setattr(special_module, "rank", missing)
+    monkeypatch.setattr(rank_module, "exact_div", counting_div)
+    verdict = is_special(P(text, vars))
+    assert not verdict.rank1
+    assert verdict.verdict == "not_special"
+    assert bool(divisions) == divides
 
 
 def test_k3_independence_identity_is_the_rank_certificate():
