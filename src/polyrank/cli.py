@@ -108,6 +108,16 @@ def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
         raise ValueError(f"{flag} must be comma-separated {noun}, got {text!r}") from None
 
 
+def _parse_sizes(text: str, smallest: int, fewest: int) -> list[int]:
+    """``--n``: ``fewest`` or more strictly increasing sizes >= ``smallest``."""
+    sizes = _parse_list(text, "--n", int, "integers")
+    if sizes != sorted(set(sizes)) or sizes[0] < smallest:
+        raise ValueError(f"--n must be strictly increasing set sizes of at least {smallest}, got {text!r}")
+    if len(sizes) < fewest:
+        raise ValueError(f"--n needs at least {fewest} set sizes for the exponent fit, got {text!r}")
+    return sizes
+
+
 def _emit(document: dict) -> None:
     payload = {"spec_version": SPEC_VERSION}
     payload.update(document)
@@ -154,7 +164,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         raise ValueError("--poly, --vars and --n are required unless --degenerate is given")
     vars = _parse_vars(args.vars)
     f = parse(args.poly, vars)
-    n_list = _parse_list(args.n, "--n", int, "integers")
+    n_list = _parse_sizes(args.n, 1, 3)
     report = expansion_report(f, args.sets, n_list, seed=args.seed, budget=budget)
     if args.output == "csv":
         sys.stdout.write(report.to_csv_text())
@@ -186,7 +196,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         _emit(distinct_volumes(params, args.d, signed=args.signed).to_json_dict())
         return 0
     if args.n:
-        n_list = _parse_list(args.n, "--n", int, "integers")
+        n_list = _parse_sizes(args.n, args.d + 1, 1)
         _emit(volume_expansion_report(n_list, args.sets, args.d, seed=args.seed, signed=args.signed))
         return 0
     raise ValueError("moment needs one of --points, --n, or --summary")

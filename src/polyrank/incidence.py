@@ -30,8 +30,8 @@ from itertools import product as iter_product
 from typing import Sequence
 
 from .expansion import DEFAULT_BUDGET, image_size
-from .poly import Polynomial, Scalar, _as_scalar
-from .rank import _rank_in_with_witness, coefficient_map
+from .poly import Polynomial, Scalar, _as_scalar, _ratio
+from .rank import _rank_in_with_witness
 
 CoeffVector = tuple[Scalar, ...]
 
@@ -75,15 +75,15 @@ def build_instance(
     rows).  So the Jacobian is that of the cleared multiple D*f unless
     PRIME divides D: scaling by D scales each minor by D^(k-1), so the
     witness and the suffixes that kill it are those of f, while the
-    partials see integers.  The curves take f's own alphas.
+    partials see integers.  The curves are read off that map and divided by
+    D > 0 once each, which keeps them distinct and in order.
     """
     vars = f.vars
     k = vars.k
     if len(sets) != k:
         raise ValueError(f"need {k} sets, got {len(sets)}")
     pivot = vars.names[0]
-    cm = coefficient_map(f, pivot)
-    r, witness, jac = _rank_in_with_witness(f, pivot, "exact", 0, 0)
+    r, witness, jac, cm, scale = _rank_in_with_witness(f, pivot, "exact", 0, 0)
     if r != k - 1:
         raise ValueError(f"rank with respect to {pivot} is {r}, need full rank {k - 1}")
     minor_det = jac.submatrix([cm.exponents.index(e) for e in witness.rows], range(k - 1)).determinant()
@@ -108,6 +108,8 @@ def build_instance(
         coeffs = tuple(dense)
         curve_mult[coeffs] = curve_mult.get(coeffs, 0) + 1
 
+    if scale != 1:
+        curve_mult = {tuple(_ratio(c, scale) for c in curve): n for curve, n in curve_mult.items()}
     curves = tuple(sorted(curve_mult))
     multiplicities = tuple(curve_mult[c] for c in curves)
     # The curve of a suffix s is the graph of x -> f(x, s), and f(x, s) is in

@@ -11,23 +11,24 @@ so the volume polynomial has full rank d with respect to x_{d+1}.
 The summary checks these identities in Z on the products
 V_n = prod_{i<j<=n}(x_j - x_i), expanded directly as the Vandermonde
 determinant det(x_i^(j-1)), one signed monomial per permutation; the scale
-1/d! of f = V_{d+1}/d! changes none of them.  Nothing is multiplied out
-and nothing is eliminated; every identity has a certificate:
+1/d! of f = V_{d+1}/d! changes none of them, and f is only printed, from
+V_{d+1}'s integer terms over the fixed denominator d!.  Nothing is
+multiplied out and nothing is eliminated; every identity has a certificate:
 
 * Factorization, V_{d+1} = V_d * prod_k (x_{d+1} - x_k), by three linear
   passes over V_{d+1}'s terms (:func:`_factorization_certificate`): the
   x_{d+1}^d slice is V_d, no exponent of x_{d+1} exceeds d, and each
-  substitution x_{d+1} -> x_k sums the terms to zero.  In the domain
-  Z[x_1..x_d] a polynomial in x_{d+1} of degree <= d with the d distinct
-  roots x_k is its leading coefficient times prod_k (x_{d+1} - x_k).  A
-  link check expands prod_k (x_{d+1} - x_k) (2^d terms) and compares it
-  with sum_l s_l x_{d+1}^l, so the factorization and M speak of the same
-  s_l.
+  substitution x_{d+1} -> x_k, one addition per exponent vector packed
+  into an int, sums the terms to zero.  In the domain Z[x_1..x_d] a
+  polynomial in x_{d+1} of degree <= d with the d distinct roots x_k is
+  its leading coefficient times prod_k (x_{d+1} - x_k).  A link check
+  writes prod_k (x_{d+1} - x_k) out (2^d terms) and compares it with
+  sum_l s_l x_{d+1}^l, so the factorization and M speak of the same s_l.
 * det(M) = (-1)^(d(d+1)/2) * V_d, by a product certificate
   (:func:`_det_m_certificate`): with W the d x d Vandermonde matrix with
   rows (1, x_i, ..., x_i^(d-1)), whose determinant is V_d, every entry of
   W*M is a product of linear forms, zero off the diagonal, and each is
-  compared with its product; det(M) itself is never expanded.
+  compared with that product written out; det(M) is never expanded.
 * Rank d in x_{d+1}, from the two: the coefficients of x_{d+1}^l in
   V_{d+1} are alpha_l = V_d * s_l, with alpha_d = V_d.  Subtracting
   s_l * grad(alpha_d) from grad(alpha_l) leaves the rows V_d * M above
@@ -47,7 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, permutations, repeat
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .expansion import SetSpec, _set_seed, fit_exponent, generate_set, theoretical_exponent
@@ -64,38 +66,39 @@ def _vandermonde(vars: VarSet, count: int) -> Polynomial:
     expanded as det(x_i^(j-1)) = sum_sigma sgn(sigma) prod_i x_i^sigma(i).
 
     Each permutation sigma gives its own monomial, so the sum has count!
-    terms and no cancellation.  Permutations are built one position at a
-    time from the exponents still free: taking the t-th smallest of them
-    adds t inversions, which fixes the sign on the way down.
+    terms and no cancellation.  ``permutations`` lists them in lex order,
+    and one that starts with the t-th smallest value has t more inversions
+    than its tail, so the sign table of n values is n copies of that of
+    n - 1 values, alternately negated.
     """
-    pad = (0,) * (vars.k - count)
-    terms: dict[tuple[int, ...], int] = {}
-
-    def place(prefix: tuple[int, ...], free: tuple[int, ...], sign: int) -> None:
-        if not free:
-            terms[prefix + pad] = sign
-            return
-        for t, e in enumerate(free):
-            place(prefix + (e,), free[:t] + free[t + 1:], -sign if t & 1 else sign)
-
-    place((), tuple(range(count)), 1)
-    return Polynomial._raw(vars, terms)
+    signs = [1]
+    for n in range(2, count + 1):
+        signs = (signs + [-s for s in signs]) * (n // 2) + (signs if n & 1 else [])
+    monomials = permutations(range(count))
+    if count < vars.k:
+        monomials = map(add, monomials, repeat((0,) * (vars.k - count)))
+    return Polynomial._raw(vars, dict(zip(monomials, signs)))
 
 
-def _over_factorial(v: Polynomial, d: int) -> Polynomial:
-    """v / d! for a v whose coefficients are all +-1, such as V_{d+1}:
-    each coefficient is c / d! in lowest terms, so no product is needed."""
-    if d == 1:
-        return v
-    scale = math.factorial(d)
-    return Polynomial._raw(v.vars, {m: Fraction(c, scale) for m, c in v.terms.items()})
+#: The largest d ``moment_summary`` and ``volume_poly`` take: V_{d+1}
+#: has (d+1)! terms, 362,880 at d = 8.
+SUMMARY_MAX_D = 8
+
+
+def _check_dimension(d: int) -> None:
+    """Refuse d < 1, and d > :data:`SUMMARY_MAX_D` before expanding anything."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if d > SUMMARY_MAX_D:
+        raise ValueError(f"--d {d} is too large for the summary: its volume polynomial has "
+                         f"(d+1)! = {math.factorial(d + 1):,} terms (d <= {SUMMARY_MAX_D})")
 
 
 def volume_poly(d: int) -> Polynomial:
-    """(1/d!) * prod_{1<=i<j<=d+1} (x_j - x_i), the simplex volume polynomial."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return _over_factorial(_vandermonde(volume_vars(d), d + 1), d)
+    """(1/d!) * prod_{i<j<=d+1} (x_j - x_i), the simplex volume polynomial (d <= SUMMARY_MAX_D)."""
+    _check_dimension(d)
+    v, scale = _vandermonde(volume_vars(d), d + 1), math.factorial(d)
+    return Polynomial._raw(v.vars, {m: _over(c, scale) for m, c in v.terms.items()})
 
 
 def symmetric_polys(d: int) -> tuple[Polynomial, ...]:
@@ -127,6 +130,14 @@ def matrix_m(d: int) -> PolyMatrix:
     return PolyMatrix(vars, rows)
 
 
+def _root_product_terms(k: int, t: int, roots: Sequence[int], sign: int) -> dict[tuple[int, ...], int]:
+    """sign * prod_{r in roots} (x_t - x_r) over k variables, written out:
+    each subset S of the roots gives the monomial x_t^(|roots| - |S|) *
+    prod_{r in S} x_r, with coefficient sign * (-1)^|S|."""
+    return {tuple(len(roots) - size if i == t else int(i in subset) for i in range(k)): -sign if size & 1 else sign
+            for size in range(len(roots) + 1) for subset in combinations(roots, size)}
+
+
 def _det_m_certificate(m: PolyMatrix) -> int:
     """The sign s with det(M) = s * V_d, proved by products alone.
 
@@ -138,11 +149,10 @@ def _det_m_certificate(m: PolyMatrix) -> int:
     factor x_i - x_i vanishes.  Each pair i < j gives the diagonal
     -(x_j - x_i)^2, so det(W*M) = (-1)^(d + d(d-1)/2) * V_d^2 and
     det(M) = (-1)^(d(d+1)/2) * V_d.  Every entry of W*M, d shifts of M's
-    terms by a power of x_i, is compared exactly with its product; a
-    mismatch raises.  Nothing is divided or eliminated.
+    terms by a power of x_i, is compared exactly with its product written
+    out; a mismatch raises.  Nothing is multiplied, divided or eliminated.
     """
     d, vars = m.rows, m.vars
-    xs = [Polynomial.variable(vars, name) for name in vars.names[:d]]
     for i in range(d):
         for j in range(d):
             entry: dict[tuple[int, ...], int] = {}
@@ -150,11 +160,7 @@ def _det_m_certificate(m: PolyMatrix) -> int:
                 for mono, c in m.entries[power][j].terms.items():
                     key = mono[:i] + (mono[i] + power,) + mono[i + 1:]
                     entry[key] = entry.get(key, 0) + c
-            if i == j:
-                expected = math.prod((xs[i] - xs[k] for k in range(d) if k != j),
-                                     start=Polynomial.constant(vars, -1)).terms
-            else:
-                expected = {}
+            expected = _root_product_terms(vars.k, j, [k for k in range(d) if k != j], -1) if i == j else {}
             if {key: c for key, c in entry.items() if c} != expected:
                 raise AssertionError(f"(W*M)[{i}][{j}] is not -prod_(k != {j})(x_{i + 1} - x_k) for d={d}")
     return (-1) ** (d * (d + 1) // 2)
@@ -169,21 +175,26 @@ def _factorization_certificate(v_next: Polynomial, v_d: Polynomial) -> bool:
     x_{d+1} -> x_k.  These suffice: Z[x_1..x_d] is a domain, so a
     polynomial of degree <= d in x_{d+1} with the d distinct roots x_k is
     c_d * prod_k (x_{d+1} - x_k).  Nothing is multiplied.
+
+    Each exponent vector is packed once into the int with digits e_1..e_{d+1}
+    in base b = 2e + 1, e the largest exponent of either polynomial; the
+    substitution x_{d+1} -> x_k adds e_{d+1} * (b^(k-1) - b^d) to each key,
+    and as no digit exceeds 2e, distinct monomials keep distinct keys.
     """
     d = v_next.vars.k - 1
-    terms = v_next.terms
-    top: dict[tuple[int, ...], Scalar] = {}
-    for mono, c in terms.items():
-        if mono[d] > d:
-            return False
-        if mono[d] == d:
-            top[mono[:d] + (0,)] = c
-    if top != v_d.terms:
+    monomials, coeffs = v_next.terms.keys(), list(v_next.terms.values())
+    tops = list(map(itemgetter(d), monomials))
+    if max(tops, default=0) > d:
+        return False
+    base = 2 * max(map(max, chain(monomials, v_d.terms)), default=0) + 1
+    digits = [base ** i for i in range(d + 1)]
+    keys = [sum(map(mul, mono, digits)) for mono in monomials]
+    top = {key: c for key, e, c in zip(keys, tops, coeffs) if e == d}
+    if top != {sum(map(mul, mono, digits)) + d * digits[d]: c for mono, c in v_d.terms.items()}:
         return False
     for k in range(d):
-        sums: dict[tuple[int, ...], Scalar] = {}
-        for mono, c in terms.items():
-            key = mono[:k] + (mono[k] + mono[d],) + mono[k + 1:d]
+        sums: dict[int, Scalar] = {}
+        for key, c in zip(map(add, keys, map(mul, tops, repeat(digits[k] - digits[d]))), coeffs):
             sums[key] = sums.get(key, 0) + c
         if any(sums.values()):
             return False
@@ -192,28 +203,15 @@ def _factorization_certificate(v_next: Polynomial, v_d: Polynomial) -> bool:
 
 def _is_root_product(s: Sequence[Polynomial]) -> bool:
     """Is sum_l s_l x_{d+1}^l, each s_l free of x_{d+1}, the expanded
-    prod_{k<=d} (x_{d+1} - x_k)?  The product is grown one factor at a
-    time; every subset of the roots gives its own monomial, 2^d in all."""
+    prod_{k<=d} (x_{d+1} - x_k) (:func:`_root_product_terms`, 2^d terms)?"""
     d = len(s) - 1
-    product = {(0,) * (d + 1): 1}
-    for k in range(d):
-        grown: dict[tuple[int, ...], int] = {}
-        for mono, c in product.items():
-            grown[mono[:d] + (mono[d] + 1,)] = c
-            grown[mono[:k] + (1,) + mono[k + 1:]] = -c
-        product = grown
     power_sum: dict[tuple[int, ...], Scalar] = {}
     for level, s_l in enumerate(s):
         for mono, c in s_l.terms.items():
             if mono[d]:
                 return False
             power_sum[mono[:d] + (level,)] = c
-    return power_sum == product
-
-
-#: The largest d ``moment_summary`` takes: V_{d+1} has (d+1)! terms,
-#: 362,880 at d = 8.
-SUMMARY_MAX_D = 8
+    return power_sum == _root_product_terms(d + 1, d, range(d), 1)
 
 
 def moment_summary(d: int) -> dict:
@@ -229,23 +227,17 @@ def moment_summary(d: int) -> dict:
     alpha_l = V_d * s_l and row operations turn the Jacobian into V_d * M
     above grad(V_d), with det(V_d * M) = +-V_d^(d+1) != 0.  Neither V_d
     times the root product nor any rank is computed.  f = V_{d+1} / d! is
-    only printed.  d above :data:`SUMMARY_MAX_D` is refused before
-    anything is expanded.
+    never formed: V_{d+1} is printed over the denominator d!.  d above
+    :data:`SUMMARY_MAX_D` is refused before anything is expanded.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if d > SUMMARY_MAX_D:
-        raise ValueError(
-            f"--d {d} is too large for the summary: its volume polynomial has "
-            f"(d+1)! = {math.factorial(d + 1):,} terms (d <= {SUMMARY_MAX_D})"
-        )
+    _check_dimension(d)
     vars = volume_vars(d)
     v_next, v_d = _vandermonde(vars, d + 1), _vandermonde(vars, d)
     factorization_ok = _factorization_certificate(v_next, v_d) and _is_root_product(symmetric_polys(d))
     det_m_sign = _det_m_certificate(matrix_m(d))  # raises unless W*M checks
     return {
         "d": d,
-        "volume_poly": str(_over_factorial(v_next, d)),
+        "volume_poly": v_next._format(math.factorial(d)),
         "factorization_ok": factorization_ok,
         "det_m_sign": det_m_sign,
         "rank_ok": factorization_ok,  # and the W*M certificate, which held

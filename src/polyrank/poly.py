@@ -309,6 +309,21 @@ def _kronecker_unpack(
     }
 
 
+class _Powers(dict):
+    """One variable's printed powers by exponent, from ``{0: "", 1: name}``
+    on; each higher one is spelled on first use."""
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self[1]}^{e}"
+        return text
+
+
+@lru_cache(maxsize=64)
+def _power_tables(names: tuple[str, ...]) -> list[_Powers]:
+    """Each variable's :class:`_Powers`, shared by every printing."""
+    return [_Powers({0: "", 1: name}) for name in names]
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -588,38 +603,39 @@ class Polynomial:
 
     # -- printing ------------------------------------------------------------
 
-    def __str__(self) -> str:
-        """Terms in descending graded-lex order, e.g. ``-1/2*x1^2 + x2 - 3``.
+    def _format(self, scale: int = 1) -> str:
+        """The terms of ``self / scale`` (``scale`` a positive int) in
+        descending graded-lex order, e.g. ``-1/2*x1^2 + x2 - 3``, printed
+        without forming the quotient: ``str`` is ``_format(1)``.
 
-        Sign and magnitude are read off each coefficient's ``numerator``
-        and ``denominator`` (an int is its own numerator, over 1), so no
-        Fraction arithmetic runs while printing.
+        Each distinct coefficient c is printed once, in lowest terms by one
+        gcd of c's ``numerator`` and ``denominator`` times ``scale`` (an int
+        is its own numerator, over 1), and looked up by the int or by that
+        pair; each power of a variable is spelled once.  No Fraction
+        arithmetic runs.
         """
         if not self._terms:
             return "0"
-        names = self.vars.names
+        powers, power = _power_tables(self.vars.names), _Powers.__getitem__
+        shown: dict[object, tuple[str, str]] = {}
         pieces: list[str] = []
         # descending graded-lex: a stable sort by degree of the lex order
         for m in sorted(sorted(self._terms, reverse=True), key=sum, reverse=True):
             c = self._terms[m]
-            num, den = c.numerator, c.denominator
-            negative = num < 0
-            if negative:
-                num = -num
-            factors = []
-            for name, e in zip(names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            if den != 1 or num != 1 or not factors:
-                factors.insert(0, f"{num}/{den}" if den != 1 else str(num))
-            body = "*".join(factors)
-            if pieces:
-                pieces.append(f"- {body}" if negative else f"+ {body}")
-            else:
-                pieces.append(f"-{body}" if negative else body)
-        return " ".join(pieces)
+            key = c if c.__class__ is int else (c.numerator, c.denominator)
+            text = shown.get(key)
+            if text is None:
+                num, den = c.numerator, c.denominator * scale
+                g = gcd(num, den)
+                sign, num, den = " - " if num < 0 else " + ", abs(num) // g, den // g
+                text = shown[key] = (sign, f"{num}/{den}" if den != 1 else "" if num == 1 else str(num))
+            sign, coeff = text
+            body = "*".join(filter(None, map(power, powers, m)))
+            pieces += (sign, f"{coeff}*{body}" if coeff and body else coeff or body or "1")
+        pieces[0] = "-" if pieces[0] == " - " else ""
+        return "".join(pieces)
+
+    __str__ = _format
 
     def __repr__(self) -> str:
         return f"Polynomial({', '.join(self.vars.names)}: {self})"

@@ -282,14 +282,14 @@ def trial_values(polys: Sequence[Polynomial], point: Sequence[int]) -> tuple[lis
         return [p.eval(point) for p in polys], RATIONALS
 
 
-def _cleared_multiple(f: Polynomial) -> tuple[Polynomial, bool]:
-    """``(D*f, True)``, D the lcm of f's coefficient denominators, or
-    ``(f, False)`` when PRIME divides D (see the module docstring).  An
+def _cleared_multiple(f: Polynomial) -> tuple[Polynomial, int, bool]:
+    """``(D*f, D, True)``, D the lcm of f's coefficient denominators, or
+    ``(f, 1, False)`` when PRIME divides D (see the module docstring).  An
     integral f is returned as it is."""
     terms, scale = _integral(f.terms)
     if not scale % PRIME:
-        return f, False
-    return (f if scale == 1 else Polynomial._raw(f.vars, terms)), True
+        return f, 1, False
+    return (f if scale == 1 else Polynomial._raw(f.vars, terms)), scale, True
 
 
 def _randomized_rank(m: PolyMatrix, trials: int, seed: int) -> tuple[int, Witness]:
@@ -327,13 +327,13 @@ def rank_in(f: Polynomial, v: str, method: str = "randomized", trials: int = 5, 
 
 def _rank_in_with_witness(
     f: Polynomial, v: str, method: str, trials: int, seed: int
-) -> tuple[int, Witness, PolyMatrix]:
-    """:func:`rank_in`, its pivot minor and the Jacobian it ranked: witness
-    rows are labelled by pivot exponent, columns index the non-pivot
-    variables in order.  A rational f is ranked as its cleared multiple D*f
-    unless PRIME divides D (see the module docstring), so the Jacobian is
-    that of D*f."""
-    f, _ = _cleared_multiple(f)
+) -> tuple[int, Witness, PolyMatrix, CoefficientMap, int]:
+    """:func:`rank_in`, its pivot minor (rows labelled by pivot exponent,
+    columns indexing the non-pivot variables in order), the Jacobian it
+    ranked, that Jacobian's coefficient map and the scale D of the ranked
+    D*f: a rational f is cleared unless PRIME divides D (see the module
+    docstring), and is then ranked as it is, with D = 1."""
+    f, scale, _ = _cleared_multiple(f)
     cm = coefficient_map(f, v)
     m = jacobian(cm)
     if method == "exact":
@@ -345,7 +345,7 @@ def _rank_in_with_witness(
         r, witness = _randomized_rank(m, trials, seed)
     else:
         raise ValueError(f"unknown rank method {method!r} (expected 'exact' or 'randomized')")
-    return r, witness._replace(rows=tuple(cm.exponents[i] for i in witness.rows)), m
+    return r, witness._replace(rows=tuple(cm.exponents[i] for i in witness.rows)), m, cm, scale
 
 
 @dataclass(frozen=True)
@@ -402,7 +402,7 @@ def rank(
     witness: Witness | None = None
     overall = -1
     for offset, v in enumerate(f.vars.names):
-        r, w, jac = _rank_in_with_witness(f, v, method, trials, seed + offset)
+        r, w, jac, *_ = _rank_in_with_witness(f, v, method, trials, seed + offset)
         if _jacobians is not None:
             _jacobians[v] = jac
         per[v] = r

@@ -57,7 +57,7 @@ def _prepare(f: Polynomial, v: str) -> tuple[int, tuple[str, ...], tuple[str, ..
     """Compute r = rank_in(f, v) exactly, the kept variables (the columns of
     its pivot minor) and the fixed ones."""
     k = f.vars.k
-    r, witness, _ = _rank_in_with_witness(f, v, "exact", 0, 0)
+    r, witness, *_ = _rank_in_with_witness(f, v, "exact", 0, 0)
     if r > k - 2:
         raise ValueError(f"rank_in(f, {v}) = {r} admits no reduction (need rank <= k-2 = {k - 2})")
     non_pivot = [name for name in f.vars.names if name != v]

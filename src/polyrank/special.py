@@ -143,7 +143,7 @@ class _Derivatives:
     def __init__(self, f: Polynomial, seed: int):
         # With PRIME dividing D, f stays as given and every value is exact:
         # some of its derivatives have residues and some do not.
-        f, self._modular = _cleared_multiple(f)
+        f, _, self._modular = _cleared_multiple(f)
         self._polys: dict[Key, Polynomial] = {(): f}
         self._seed = seed
         self._degree = 4 * _degree_or_zero(f)

@@ -155,6 +155,20 @@ def test_malformed_n_is_1(capsys, argv, n):
     assert err == f"polyrank: error: --n must be comma-separated integers, got {n!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("moment", "--d", "2", "--n", "2,3,4"),  # a size below d+1
+    ("moment", "--d", "2", "--n", "8,6,10"),
+    ("expand", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3", "--n", "2,3"),  # too few for the fit
+    ("expand", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3", "--n", "4,3,5"),
+    ("expand", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3", "--n", "0,1,2"),
+])
+def test_invalid_n_names_the_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("polyrank: error: --n ")
+    assert repr(argv[-1]) in err
+
+
 @pytest.mark.parametrize("points", ["0,abc,2", "1/0,1,2", "0,,2"])
 def test_malformed_points_is_1(capsys, points):
     code, out, err = run_cli(capsys, "moment", "--d", "2", "--points", points)

@@ -21,7 +21,7 @@ from polyrank import (
     volume_poly,
 )
 from polyrank import moment as moment_module
-from polyrank.moment import SUMMARY_MAX_D, _det_m_certificate, _vandermonde, volume_vars
+from polyrank.moment import SUMMARY_MAX_D, _det_m_certificate, _root_product_terms, _vandermonde, volume_vars
 from polyrank.rank import PolyMatrix, _randomized_rank, coefficient_map, jacobian
 
 from gens import canonical_types, det_m_sign, vandermonde_fold, vandermonde_matrix
@@ -164,6 +164,15 @@ def _degree_d_plus_1_multiple(v):
     return [v + math.prod((xs[d] - x for x in xs[:d]), start=sum(xs, Polynomial.zero(v.vars)))]
 
 
+def _aliased_high_powers(v):
+    # + x_1^(2d+1) - x_2: both terms are free of x_{d+1}, so no substitution
+    # moves them, and packed in a base 2d + 1 fixed by d alone they would
+    # share one key and cancel in every pass; x_1^(2d+1) - x_2 is no
+    # multiple of the root product, so the copy is no factorization
+    d = v.vars.k - 1
+    return [_edited(_edited(v, (2 * d + 1,) + (0,) * d, 1), (0, 1) + (0,) * (d - 1), -1)]
+
+
 #: Broken copies of V_{d+1}, none of them V_d * prod_k (x_{d+1} - x_k).
 FACTORIZATION_MUTANTS = {
     # every term, in the x_{d+1}^d slice (caught there) and below it
@@ -177,6 +186,7 @@ FACTORIZATION_MUTANTS = {
     # 2*V_{d+1} keeps the degree and every root; only the top slice fails
     "multiple": lambda v: [2 * v],
     "degree_d_plus_1_multiple": _degree_d_plus_1_multiple,
+    "aliased_high_powers": _aliased_high_powers,
 }
 
 
@@ -223,6 +233,27 @@ def test_summary_refuses_large_d_before_expanding(monkeypatch):
             moment_summary(d)
 
 
+def test_volume_poly_refuses_large_d_before_expanding(monkeypatch):
+    monkeypatch.setattr(moment_module, "_vandermonde", lambda *args: pytest.fail("expanded"))
+    for d in (SUMMARY_MAX_D + 1, 12):
+        with pytest.raises(ValueError, match=rf"--d {d}\b.*\(d\+1\)! = {math.factorial(d + 1):,} terms"):
+            volume_poly(d)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_root_products_written_out_equal_the_products(d):
+    # the W*M diagonal -prod_(k != j)(x_j - x_k) and the link check's
+    # prod_k (x_{d+1} - x_k), one term per subset of the roots, against
+    # Polynomial products
+    vars = volume_vars(d)
+    xs = [Polynomial.variable(vars, name) for name in vars.names]
+    for j in range(d):
+        roots = [k for k in range(d) if k != j]
+        expected = math.prod((xs[j] - xs[k] for k in roots), start=Polynomial.constant(vars, -1))
+        assert _root_product_terms(vars.k, j, roots, -1) == expected.terms
+    assert _root_product_terms(vars.k, d, range(d), 1) == math.prod((xs[d] - x for x in xs[:d]), start=xs[0] ** 0).terms
+
+
 def test_matrix_m_small_cases():
     v2 = volume_vars(2)
     m = matrix_m(2)
@@ -266,6 +297,20 @@ def test_det_m_certificate_rejects_a_dropped_term(d):
                 rows[i][j] = Polynomial(m.vars, terms)
                 with pytest.raises(AssertionError, match=r"\(W\*M\)"):
                     _det_m_certificate(PolyMatrix(m.vars, rows))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_det_m_certificate_checks_off_the_diagonal(d):
+    # adding the coefficients of t - x_j to column j leaves the diagonal
+    # entry (W*M)_jj, where t = x_j, and adds x_i - x_j to every (W*M)_ij
+    m = matrix_m(d)
+    for j in range(d):
+        x_j = Polynomial.variable(m.vars, m.vars.names[j])
+        rows = [list(row) for row in m.entries]
+        rows[0][j] = rows[0][j] - x_j
+        rows[1][j] = rows[1][j] + 1
+        with pytest.raises(AssertionError, match=rf"\(W\*M\)\[\d\]\[{j}\]"):
+            _det_m_certificate(PolyMatrix(m.vars, rows))
 
 
 def test_derivative_evaluation_identity():

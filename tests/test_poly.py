@@ -656,6 +656,20 @@ def test_str_matches_the_reference_printer(p):
     assert str(p) == reference_str(p)
 
 
+@settings(deadline=None)
+@given(st.one_of(polys, rational_polys), st.one_of(st.just(1), st.integers(1, 720)))
+@example(P("x1 - x2"), 1)  # scale 1
+@example(P("6*x1^2 - 12*x2 + 3"), 3)  # every quotient integral
+@example(P("-4*x1 + 2"), 2)  # a quotient of -1 and a constant term
+@example(P("-1/2*x3 - 5"), 6)
+@example(P("-1"), 720)
+def test_scaled_format_matches_printing_the_quotient(p, scale):
+    # _format(scale) prints p / scale without forming it: the same text as
+    # printing the quotient, whose coefficients are Fractions in lowest terms
+    quotient = Polynomial(p.vars, {m: Fraction(c, 1) / scale for m, c in p.terms.items()})
+    assert p._format(scale) == str(quotient)
+
+
 # ---------------------------------------------------------------- parser differential
 
 _leaves = st.one_of(
