@@ -264,10 +264,14 @@ def image_size(
     return len(image_values(f, grids, budget=budget))
 
 
+def _check_fit_points(count: int) -> None:
+    if count < 3:
+        raise ValueError("exponent fit needs at least 3 data points")
+
+
 def fit_exponent(rows: Sequence[tuple[int, int]]) -> float:
     """Least-squares slope of log(image size) against log(n)."""
-    if len(rows) < 3:
-        raise ValueError("exponent fit needs at least 3 data points")
+    _check_fit_points(len(rows))
     xs = [math.log(n) for n, _ in rows]
     ys = [math.log(size) for _, size in rows]
     return statistics.linear_regression(xs, ys).slope
@@ -324,6 +328,7 @@ def expansion_report(
     """
     if list(n_list) != sorted(set(n_list)) or not n_list:
         raise ValueError("n_list must be nonempty and strictly increasing")
+    _check_fit_points(len(n_list))
     report = rank(f, seed=seed)
     r = report.overall
     theo = theoretical_exponent(r)

@@ -55,7 +55,16 @@ after clearing denominators:
    The default ``exact`` mode uses one point, a ``randomized`` mode 20,
    and a match everywhere is then the probabilistic verdict "identical".
 4. In ``exact`` mode the identities that survive are expanded
-   symbolically and their sides compared.
+   symbolically and their sides compared, on a restriction that the
+   passes certify.  Both sides differ by a power of f_i and f_j times a
+   derivative of the ratio f_i / f_j: g^2 h^2 d_i d_j log(g / h) for
+   separation, f_j^2 d_m (f_i / f_j) for independence.  Every pass at a
+   pivot x_m other than the identity's own variables makes that ratio,
+   and so its derivative, free of x_m (step 2).  Fixing all those x_m to
+   the first c in 0, 1, -1, 2, -2 that leaves f_i and f_j nonzero
+   therefore leaves the difference zero exactly when it was zero, and
+   only the restricted factors are expanded.  When no c does, or no pass
+   applies, the identity is expanded over all variables.
 
 No attempt is made to recover the composition (h, p_1, ..., p_k) or to
 distinguish the additive from the multiplicative shape; the verdict only
@@ -66,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from .poly import Polynomial, Scalar
 from .rank import POLYNOMIALS, RATIONALS, PolyMatrix, Ring, _cleared_multiple, bareiss, rank, sample_point, trial_values
@@ -178,7 +187,15 @@ class _Derivatives:
         return [known[key] for key in keys], self._ring
 
 
-def _identity_holds(table: _Derivatives, keys: tuple[Key, ...], sides: Callable[..., tuple], method: str) -> bool:
+#: The values tried, in order, for the variables an exact identity is
+#: restricted on.
+_RESTRICTION_VALUES = (0, 1, -1, 2, -2)
+
+
+def _identity_holds(
+    table: _Derivatives, keys: tuple[Key, ...], sides: Callable[..., tuple], method: str,
+    fixed: Collection[str] = (),
+) -> bool:
     """Are the two sides ``sides(*factors)`` equal, the factors being the
     derivatives ``keys`` of ``table``?
 
@@ -188,6 +205,12 @@ def _identity_holds(table: _Derivatives, keys: tuple[Key, ...], sides: Callable[
     expanded symbolic sides, so only identities that survive the point are
     expanded.  ``randomized`` uses ``RANDOMIZED_IDENTITY_TRIALS`` points
     and expands nothing.
+
+    ``fixed`` names variables that the ratio of the order-one factors f_i
+    and f_j is certified free of.  ``exact`` then expands the factors with
+    every ``fixed`` variable set to the first of ``_RESTRICTION_VALUES``
+    that leaves f_i and f_j nonzero, over all variables if none does (see
+    the module docstring).
     """
     _check_identity_method(method)
     trials = 1 if method == "exact" else RANDOMIZED_IDENTITY_TRIALS
@@ -198,27 +221,43 @@ def _identity_holds(table: _Derivatives, keys: tuple[Key, ...], sides: Callable[
             return False
     if method == "randomized":
         return True
-    lhs, rhs = sides(*(table[key] for key in keys))
+    factors = _restriction({key: table[key] for key in keys}, fixed)
+    lhs, rhs = sides(*(factors[key] for key in keys))
     return lhs == rhs
+
+
+def _restriction(factors: dict[Key, Polynomial], fixed: Collection[str]) -> dict[Key, Polynomial]:
+    """``factors`` with every ``fixed`` variable set to the first of
+    ``_RESTRICTION_VALUES`` that leaves each order-one factor nonzero, or
+    unchanged if none does."""
+    for c in _RESTRICTION_VALUES:
+        bindings = dict.fromkeys(fixed, c)
+        restricted = {key: p.substitute(bindings) for key, p in factors.items()}
+        if not any(p.is_zero for key, p in restricted.items() if len(key) == 1):
+            return restricted
+    return factors
 
 
 def ratio_independent_of(
     f: Polynomial, i: str, j: str, m: str, method: str = "exact", seed: int = 0,
-    *, _table: _Derivatives | None = None,
+    *, _table: _Derivatives | None = None, _fixed: Collection[str] = (),
 ) -> bool:
     """Does (df/dx_i)/(df/dx_j) not involve x_m?
 
     Tested as the cleared-denominator identity
     (d2f/di dm) * (df/dj) == (df/di) * (d2f/dj dm) on D*f (see the module
     docstring).  ``is_special`` passes its verdict's derivative table as
-    ``_table``; a call without one builds its own for f and ``seed``.
+    ``_table``; a call without one builds its own for f and ``seed``.  It
+    also passes as ``_fixed`` the pivots other than x_i, x_j, x_m whose
+    rank certificate makes the ratio free of them; ``exact`` mode expands
+    the identity with those variables fixed to a constant.
     """
     if len({i, j, m}) != 3:
         raise ValueError(f"variables must be distinct, got ({i}, {j}, {m})")
     table = _Derivatives(f, seed) if _table is None else _table
     if table[(j,)].is_zero:
         raise ValueError(f"denominator derivative d/d{j} is zero")
-    return _identity_holds(table, ((i, m), (j,), (i,), (j, m)), _independence_sides, method)
+    return _identity_holds(table, ((i, m), (j,), (i,), (j, m)), _independence_sides, method, _fixed)
 
 
 def _independence_sides(fi_m, fj, fi, fj_m):
@@ -227,14 +266,15 @@ def _independence_sides(fi_m, fj, fi, fj_m):
 
 def ratio_separated(
     f: Polynomial, i: str, j: str, method: str = "exact", seed: int = 0,
-    *, _table: _Derivatives | None = None,
+    *, _table: _Derivatives | None = None, _fixed: Collection[str] = (),
 ) -> bool:
     """Does the ratio (df/dx_i)/(df/dx_j) split into x_i-part / x_j-part?
 
     Equivalent to the mixed second logarithmic derivative in (x_i, x_j)
     vanishing; tested after clearing denominators as
     (g*g_ij - g_i*g_j) * h^2 == (h*h_ij - h_i*h_j) * g^2 on D*f, with
-    g = df/dx_i, h = df/dx_j and ``_table`` as in
+    g = df/dx_i, h = df/dx_j, and ``_table`` and ``_fixed`` (here the
+    certified pivots other than x_i, x_j) as in
     :func:`ratio_independent_of`.
     """
     if i == j:
@@ -243,7 +283,7 @@ def ratio_separated(
     if table[(i,)].is_zero or table[(j,)].is_zero:
         raise ValueError("both partial derivatives must be nonzero")
     keys = ((i,), (i, i, j), (i, i), (i, j), (j,), (i, j, j), (i, j), (j, j))
-    return _identity_holds(table, keys, _separation_sides, method)
+    return _identity_holds(table, keys, _separation_sides, method, _fixed)
 
 
 def _separation_sides(g, g_ij, g_i, g_j, h, h_ij, h_i, h_j):
@@ -260,7 +300,8 @@ def is_special(f: Polynomial, method: str = "exact", seed: int = 0) -> SpecialFo
     every variable.  The pair checks are the per-pair report: identities
     the passes certify hold, and the rest read one derivative table, are
     refuted at the verdict's seeded points modulo a prime and, in
-    ``exact`` mode, expanded if they survive (see the module docstring).
+    ``exact`` mode, expanded if they survive, with the variables of the
+    other passes fixed (see the module docstring).
     """
     _check_identity_method(method)
     if f.vars.k < 3:
@@ -278,11 +319,13 @@ def is_special(f: Polynomial, method: str = "exact", seed: int = 0) -> SpecialFo
     checks: dict[tuple[str, str], PairCheck] = {}
     for i, j in combinations(names, 2):
         indep = all(
-            m in low or ratio_independent_of(f, i, j, m, method=method, seed=seed, _table=table)
+            m in low or ratio_independent_of(f, i, j, m, method=method, seed=seed, _table=table,
+                                             _fixed=low - {i, j, m})
             for m in names
             if m not in (i, j)
         )
-        sep = (i in low and j in low) or ratio_separated(f, i, j, method=method, seed=seed, _table=table)
+        sep = (i in low and j in low) or ratio_separated(f, i, j, method=method, seed=seed, _table=table,
+                                                         _fixed=low - {i, j})
         checks[(i, j)] = PairCheck(independence_ok=indep, separation_ok=sep)
     rank1 = len(low) == len(names)
     verdict = "special" if rank1 else "not_special"

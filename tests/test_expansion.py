@@ -337,6 +337,15 @@ def test_expansion_report_validation():
         expansion_report(P("x1+x2+x3"), "interval", [10, 20])  # fit needs 3 points
 
 
+def test_expansion_report_refuses_two_sizes_before_any_work(monkeypatch):
+    import polyrank.expansion as expansion
+
+    for name in ("rank", "image_size"):
+        monkeypatch.setattr(expansion, name, lambda *args, name=name, **kwargs: pytest.fail(f"{name} was called"))
+    with pytest.raises(ValueError, match=r"^exponent fit needs at least 3 data points$"):
+        expansion_report(P("x1*x2 + x3"), "random_int", [40, 80])
+
+
 def test_expansion_report_serialization():
     report = expansion_report(P("x1+x2+x3"), "interval", [4, 8, 16])
     doc = report.to_json_dict()

@@ -27,6 +27,7 @@ from gens import (
     gapped_random_polynomial,
     perturbed_special,
     random_special,
+    random_univariate,
     sparse_random_polynomial,
     var_set,
 )
@@ -239,8 +240,9 @@ def test_randomized_identities_evaluate_modulo_prime(monkeypatch):
     assert moduli and set(moduli) == {PRIME}
 
 
-def _expanded_identity_holds(table, keys, sides, method):
-    """Reference rule for exact identities: expand both sides, compare."""
+def _expanded_identity_holds(table, keys, sides, method, fixed=()):
+    """Reference rule for exact identities: expand both sides over every
+    variable, whatever ``fixed`` names, and compare."""
     lhs, rhs = sides(*(table[key] for key in keys))
     return lhs == rhs
 
@@ -520,3 +522,137 @@ def test_is_special_builds_each_thing_once(monkeypatch, text, bounds):
     is_special(f)
     for name, bound in bounds.items():
         assert counts[name] <= bound, (name, counts)
+
+
+# ------------------------------------------------------------ restricted expansion
+
+def _full_expansion(monkeypatch):
+    """Patch ``_identity_holds`` to ignore ``fixed``: the point check runs
+    as before and every surviving identity is expanded over all variables."""
+    original = special_module._identity_holds
+
+    def full(table, keys, sides, method, fixed=()):
+        return original(table, keys, sides, method)
+
+    monkeypatch.setattr(special_module, "_identity_holds", full)
+
+
+def _restriction_inputs():
+    """The gens corpora, univariate perturbations of specials (whose
+    perturbed variable keeps its pass) and a k = 4 input with an
+    uncertified independence identity."""
+    rng = random.Random(2612)
+    for corpus in sorted(IDENTITY_CORPORA):
+        for case in range(6):
+            yield f"{corpus}-{case}", IDENTITY_CORPORA[corpus](rng), case
+    for text in ("(x1+2*x2+x3)^12 + x3^3", "(x1+2*x2+x3)^12 + x1^2", "(x1*x2*x3 + 1)^3 + x2^2",
+                 "(x1 + x2^2 + x3^3)^3 + x3", "x3*(x3^2-1)*(x3^2-4)*(x1*x2+1)"):
+        yield text, P(text), 0
+    for case in range(8):
+        special = random_special(rng, V3, multiplicative=case % 2 == 0, max_deg=2)
+        name = V3.names[case % 3]
+        yield f"univariate-perturbed-{case}", special + random_univariate(rng, V3, name), case
+    # x4 * g(x1, x2, x3): the pass at x4 certifies f_1 / f_2 = 1/2 free of x4,
+    # and independence (x1, x2) through x3 is left to expand
+    yield "k4-scaled", P("x4*((x1+2*x2+x3)^3 + x3^3)", V4), 0
+
+
+def _spy_identities(monkeypatch):
+    """Record (keys, fixed, result) of each ``_identity_holds`` call."""
+    calls = []
+    original = special_module._identity_holds
+
+    def spy(table, keys, sides, method, fixed=()):
+        result = original(table, keys, sides, method, fixed)
+        calls.append((keys, set(fixed), result))
+        return result
+
+    monkeypatch.setattr(special_module, "_identity_holds", spy)
+    return calls
+
+
+def test_restricted_identities_match_full_expansion(monkeypatch):
+    calls = _spy_identities(monkeypatch)
+    restricted = set()  # (label, number of factors) of each restricted expansion
+    for label, f, seed in _restriction_inputs():
+        calls.clear()
+        verdict = is_special(f, method="exact", seed=seed)
+        restricted.update((label, len(keys)) for keys, fixed, held in calls if fixed and held)
+        with monkeypatch.context() as patched:
+            _full_expansion(patched)
+            reference = is_special(f, method="exact", seed=seed)
+        assert verdict.to_json_dict() == reference.to_json_dict(), label
+    # separations (8 factors) at k = 3, an independence (4 factors) at k = 4
+    assert {("(x1+2*x2+x3)^12 + x3^3", 8), ("k4-scaled", 4)} <= restricted
+    assert sum(label.startswith("univariate") for label, _ in restricted) >= 4
+
+
+def test_identities_fix_exactly_the_other_passes(monkeypatch):
+    calls = _spy_identities(monkeypatch)
+    fixing = 0
+    for label, f, seed in _restriction_inputs():
+        if not depends_on_all(f):
+            continue
+        low = {m for m in f.vars.names if _certificate(f, m)}
+        calls.clear()
+        is_special(f, seed=seed)
+        for keys, fixed, _ in calls:
+            own = set(itertools.chain.from_iterable(keys))
+            assert fixed == low - own, (label, keys)
+            fixing += bool(fixed)
+    assert fixing > 10
+
+
+def _factors_expanded(monkeypatch):
+    """Record the polynomial factors of each symbolic separation expansion."""
+    expanded = []
+    sides = special_module._separation_sides
+
+    def recording(*factors):
+        if isinstance(factors[0], Polynomial):
+            expanded.append(factors)
+        return sides(*factors)
+
+    monkeypatch.setattr(special_module, "_separation_sides", recording)
+    return expanded
+
+
+def test_restriction_falls_back_when_every_value_kills_a_factor(monkeypatch):
+    # x3 passes and x1, x2 do not, so separation (x1, x2) may fix x3; but
+    # f_1 = x2 * x3(x3^2-1)(x3^2-4) vanishes at every value tried
+    f = P("x3*(x3^2-1)*(x3^2-4)*(x1*x2+1)")
+    assert [m for m in f.vars.names if _certificate(f, m)] == ["x3"]
+    assert all(f.partial("x1").substitute({"x3": c}).is_zero for c in special_module._RESTRICTION_VALUES)
+    expanded = _factors_expanded(monkeypatch)
+    verdict = is_special(f)
+    assert verdict.pair_checks[("x1", "x2")].separation_ok
+    # the held separation was expanded on the full derivatives
+    g, h = f.partial("x1"), f.partial("x2")
+    assert any(factors[0] == g and factors[4] == h for factors in expanded)
+    with monkeypatch.context() as patched:
+        _full_expansion(patched)
+        assert is_special(f).to_json_dict() == verdict.to_json_dict()
+
+
+def _no_point_check(monkeypatch):
+    """Make every identity pass its point check, so that only the symbolic
+    step decides."""
+    monkeypatch.setattr(special_module._Derivatives, "values",
+                        lambda self, trial, keys: ([0] * len(keys), RATIONALS))
+
+
+def test_restriction_needs_the_rank_certificate(monkeypatch):
+    # no pass holds, so f_1 / f_2 = (2x1 + x2x3) / (2x2 + x1x3) involves x3,
+    # and at x3 = 0 its separation holds though the full identity does not
+    f = P("x1^2 + x2^2 + x1*x2*x3")
+    assert not any(_certificate(f, m) for m in f.vars.names)
+    _no_point_check(monkeypatch)
+    table = special_module._Derivatives(f, 0)
+    keys = (("x1",), ("x1", "x1", "x2"), ("x1", "x1"), ("x1", "x2"),
+            ("x2",), ("x1", "x2", "x2"), ("x1", "x2"), ("x2", "x2"))
+    separation = special_module._separation_sides
+    assert special_module._identity_holds(table, keys, separation, "exact", ("x3",))
+    assert not special_module._identity_holds(table, keys, separation, "exact")
+    assert not ratio_separated(f, "x1", "x2")
+    # is_special fixes no variable here, so the symbolic step refutes it
+    assert not is_special(f).pair_checks[("x1", "x2")].separation_ok
