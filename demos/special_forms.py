@@ -4,7 +4,8 @@
 A polynomial depending on all of its k >= 3 variables has rank 1 if and
 only if it is h(p_1(x_1) + ... + p_k(x_k)) or h(p_1(x_1) * ... * p_k(x_k))
 for univariate h and p_i.  The detector never reconstructs h or the p_i;
-it checks derivative identities that clear all denominators, so everything
+it checks identities of the first-order partials f_i, f_j and their
+restrictions to constants, cleared of all denominators, so everything
 stays inside exact polynomial arithmetic.
 """
 

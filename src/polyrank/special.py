@@ -1,23 +1,24 @@
-"""Detection of rank-1 special forms via separated-derivative identities.
+"""Detection of rank-1 special forms via identities of first-order partials.
 
 A polynomial that depends on every one of its k >= 3 variables has rank 1
 exactly when it is a univariate composition of a sum or of a product of
 univariate polynomials, i.e. h(p_1(x_1) + ... + p_k(x_k)) or
 h(p_1(x_1) * ... * p_k(x_k)).  Such polynomials satisfy two families of
-derivative identities, both checkable with pure polynomial arithmetic
-after clearing denominators:
+identities of R = P / Q, P = df/dx_i and Q = df/dx_j, stated with P and Q
+at constants c, c' that leave every restricted factor nonzero:
 
-* independence: the ratio (df/dx_i) / (df/dx_j) does not involve any third
-  variable x_m, equivalently
+* independence, R free of a third variable x_m, is R = R|_{x_m=c}:
 
-      (d2f/dx_i dx_m) * (df/dx_j) - (df/dx_i) * (d2f/dx_j dx_m) == 0
+      P * Q|_{x_m=c} == Q * P|_{x_m=c}
 
-* separation: the mixed logarithmic derivative of the same ratio in x_i
-  and x_j vanishes, equivalently, with g = df/dx_i and h = df/dx_j,
+* separation, R an x_i-part times an x_j-part (d_i d_j log R = 0), is
+  R * R|_{x_i=c',x_j=c} = R|_{x_j=c} * R|_{x_i=c'}:
 
-      (g * g_ij - g_i * g_j) * h^2 == (h * h_ij - h_i * h_j) * g^2
+      P * Q|_{x_j=c} * Q|_{x_i=c'} * P|_{x_i=c',x_j=c}
+          == Q * P|_{x_j=c} * P|_{x_i=c'} * Q|_{x_i=c',x_j=c}
 
-  where subscripts denote further partials in x_i and x_j.
+  If d_j log R does not involve x_i, R / R|_{x_i=c'} is free of x_j,
+  which gives the equation; conversely, it writes R as such a product.
 
 ``is_special`` decides them in this order, building each object once:
 
@@ -41,30 +42,25 @@ after clearing denominators:
    part, so its mixed logarithmic derivative vanishes.  When ``rank1``
    holds every pair check is certified; the identities left make the
    per-pair report.
-3. The identities left read their derivatives from one table per
-   verdict, keyed by the sorted multi-index (f_i, f_ij, f_iij, ...).  The
-   table is built on the cleared multiple D*f, D the lcm of f's
-   coefficient denominators, unless the prime 2^61 - 1 divides D.  Both
-   identities are homogeneous in f, of degree 2 and 4, so clearing
-   changes no verdict, and the derivatives have integer coefficients.
-   Every identity is evaluated at the same seeded random integer points,
+3. The identities left read P and Q under restrictions from one table
+   per verdict, built on the cleared multiple D*f, D the lcm of f's
+   coefficient denominators, unless the prime 2^61 - 1 divides D (both
+   identities are homogeneous in f, so clearing changes no verdict).  One
+   chooser takes each constant as the first of 0, 1, -1, 2, -2, ... that
+   leaves every restricted factor nonzero; it always ends, since a
+   nonzero factor vanishes at no more constants than its degree.  The
+   passes restrict the identities further: a pass at a pivot x_m other
+   than the identity's own variables makes R free of x_m (step 2), so x_m
+   is fixed through the same chooser and no verdict changes.
+4. Every identity is evaluated at the same seeded random integer points,
    drawn for the one degree bound 4 * deg f, which bounds the degree of
-   every identity's sides; each distinct derivative is evaluated once per
-   point.  Values are residues modulo the prime (exact rationals when it
-   divides D), and a mismatch proves the sides differ (Schwartz-Zippel).
-   The default ``exact`` mode uses one point, a ``randomized`` mode 20,
-   and a match everywhere is then the probabilistic verdict "identical".
-4. In ``exact`` mode the identities that survive are expanded
-   symbolically and their sides compared, on a restriction that the
-   passes certify.  Both sides differ by a power of f_i and f_j times a
-   derivative of the ratio f_i / f_j: g^2 h^2 d_i d_j log(g / h) for
-   separation, f_j^2 d_m (f_i / f_j) for independence.  Every pass at a
-   pivot x_m other than the identity's own variables makes that ratio,
-   and so its derivative, free of x_m (step 2).  Fixing all those x_m to
-   the first c in 0, 1, -1, 2, -2 that leaves f_i and f_j nonzero
-   therefore leaves the difference zero exactly when it was zero, and
-   only the restricted factors are expanded.  When no c does, or no pass
-   applies, the identity is expanded over all variables.
+   every side; a restricted factor's value is f_v at the point with its
+   restricted coordinates set, computed once.  Values are residues modulo
+   the prime (exact rationals when it divides D), and a mismatch proves
+   the sides differ (Schwartz-Zippel).  The default ``exact`` mode uses
+   one point and then expands the restricted sides of the identities that
+   survive; a ``randomized`` mode uses 20 points, and a match everywhere
+   is then the probabilistic verdict "identical".
 
 No attempt is made to recover the composition (h, p_1, ..., p_k) or to
 distinguish the additive from the multiplicative shape; the verdict only
@@ -74,17 +70,16 @@ reports whether the polynomial is special.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Callable, Collection, Iterable
+from operator import mul
+from typing import Collection
 
 from .poly import Polynomial, Scalar
 from .rank import POLYNOMIALS, RATIONALS, PolyMatrix, Ring, _cleared_multiple, bareiss, rank, sample_point, trial_values
 
 #: Trials used by the randomized identity mode.
 RANDOMIZED_IDENTITY_TRIALS = 20
-
-#: A sorted multi-index of variable names: ("x1", "x1", "x2") is d3f/dx1^2 dx2.
-Key = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -134,108 +129,116 @@ def _check_identity_method(method: str) -> None:
         raise ValueError(f"unknown identity method {method!r} (expected 'exact' or 'randomized')")
 
 
-def _degree_or_zero(p: Polynomial) -> int:
-    d = p.total_degree()
-    return d if isinstance(d, int) else 0
+#: A restriction: the (variable, constant) pairs it fixes.
+Restriction = frozenset[tuple[str, int]]
 
 
 class _Derivatives:
-    """The partial derivatives of f and their values at seeded points, each
-    computed once.
+    """The partials f_v of f under restrictions, and their values at seeded
+    points, each computed once.
 
-    f is cleared to D*f unless PRIME divides D, as rank does; a derivative
-    is keyed by its sorted multi-index and built from the one whose key
-    drops the last name.  Trial t evaluates at
-    ``sample_point(seed, t, k, 4 * deg f)``.
+    f is cleared to D*f unless PRIME divides D, as rank does.  Trial t
+    evaluates at ``sample_point(seed, t, k, 4 * deg f)`` with the
+    restricted coordinates set.
     """
 
     def __init__(self, f: Polynomial, seed: int):
         # With PRIME dividing D, f stays as given and every value is exact:
-        # some of its derivatives have residues and some do not.
-        f, _, self._modular = _cleared_multiple(f)
-        self._polys: dict[Key, Polynomial] = {(): f}
+        # some of its partials have residues and some do not.
+        self._f, _, self._modular = _cleared_multiple(f)
         self._seed = seed
-        self._degree = 4 * _degree_or_zero(f)
-        self._trials: dict[int, tuple[list[int], dict[Key, Scalar]]] = {}
-        # The ring of every value: ``trial_values`` picks the same one for
-        # every batch of derivatives with integer coefficients.
-        self._ring: Ring = RATIONALS
+        self.degree = 4 * max(self._f.total_degree(), 0)
+        self._polys: dict[tuple[str, Restriction], Polynomial] = {}
+        self._points: dict[int, list[int]] = {}
+        self._values: dict[tuple[int, str, Restriction], Scalar] = {}
+        # The ring of the values: ``trial_values`` picks the same one for
+        # every partial with integer coefficients.
+        self.ring: Ring = RATIONALS
 
-    def __getitem__(self, key: Iterable[str]) -> Polynomial:
-        key = tuple(sorted(key))
-        p = self._polys.get(key)
+    def poly(self, v: str, r: Restriction = frozenset()) -> Polynomial:
+        """f_v with the variables of ``r`` fixed."""
+        p = self._polys.get((v, r))
         if p is None:
-            p = self._polys[key] = self[key[:-1]].partial(key[-1])
+            p = self._polys[v, r] = self.poly(v).substitute(dict(r)) if r else self._f.partial(v)
         return p
 
-    def values(self, trial: int, keys: Iterable[Key]) -> tuple[list[Scalar], Ring]:
-        """The values of the derivatives ``keys`` at the point of ``trial``,
-        and the ring they live in."""
-        keys = [tuple(sorted(key)) for key in keys]
-        if trial not in self._trials:
-            base = self._polys[()]
-            self._trials[trial] = (sample_point(self._seed, trial, base.vars.k, self._degree), {})
-        point, known = self._trials[trial]
-        missing = [key for key in dict.fromkeys(keys) if key not in known]
-        if missing:
-            polys = [self[key] for key in missing]
+    def value(self, trial: int, v: str, r: Restriction) -> Scalar:
+        """The value of f_v under ``r`` at the point of ``trial``."""
+        value = self._values.get((trial, v, r))
+        if value is None:
+            if trial not in self._points:
+                self._points[trial] = sample_point(self._seed, trial, self._f.vars.k, self.degree)
+            point = list(self._points[trial])
+            for name, c in r:
+                point[self._f.vars.index(name)] = c
             if self._modular:
-                values, self._ring = trial_values(polys, point)
+                (value,), self.ring = trial_values([self.poly(v)], point)
             else:
-                values = [p.eval(point) for p in polys]
-            known.update(zip(missing, values))
-        return [known[key] for key in keys], self._ring
+                value = self.poly(v).eval(point)
+            self._values[trial, v, r] = value
+        return value
 
 
-#: The values tried, in order, for the variables an exact identity is
-#: restricted on.
-_RESTRICTION_VALUES = (0, 1, -1, 2, -2)
+def _bind(table: _Derivatives, i: str, j: str, restrictions: list[Restriction], name: str) -> list[Restriction]:
+    """``restrictions`` with ``name`` fixed to the first of 0, 1, -1, 2, -2,
+    ... that leaves f_i and f_j, where nonzero, nonzero under each of them.
+
+    A nonzero value at trial 0 proves a factor nonzero; only a zero value
+    gets it substituted.  The at most four factors are nonzero before
+    ``name`` is fixed, and each vanishes at fewer than deg f constants, so
+    one of the first 4 * deg f is found.
+    """
+    factors = [v for v in (i, j) if not table.poly(v).is_zero]
+    for n in range(table.degree):
+        c = (n + 1) // 2 if n % 2 else -(n // 2)
+        bound = [r | {(name, c)} for r in restrictions]
+        if all(table.value(0, v, r) or not table.poly(v, r).is_zero for r in bound for v in factors):
+            return bound
+    raise AssertionError(f"no constant for {name} leaves f_{i} and f_{j} nonzero")
 
 
 def _identity_holds(
-    table: _Derivatives, keys: tuple[Key, ...], sides: Callable[..., tuple], method: str,
-    fixed: Collection[str] = (),
+    table: _Derivatives, i: str, j: str, own: tuple[str, ...], method: str, fixed: Collection[str] = (),
 ) -> bool:
-    """Are the two sides ``sides(*factors)`` equal, the factors being the
-    derivatives ``keys`` of ``table``?
+    """Does R = f_i / f_j satisfy prod_S R|_S^((-1)^|S|) = 1, S over the
+    subsets of ``own`` and R|_S fixing them?
 
-    Both methods first apply ``sides`` to the factors' values at the
-    table's seeded points; a mismatch proves the sides differ.  ``exact``
-    uses one point (trial 0 of ``randomized``) and then compares the
-    expanded symbolic sides, so only identities that survive the point are
-    expanded.  ``randomized`` uses ``RANDOMIZED_IDENTITY_TRIALS`` points
-    and expands nothing.
+    ``own`` = (x_m,) states independence of x_m, (x_j, x_i) separation;
+    cleared of denominators, each side is a ``_sides`` product of factors
+    f_i|_S and f_j|_S.  Each variable of ``fixed``, then of ``own``, gets
+    its constant from ``_bind``; R is certified free of ``fixed``, so
+    fixing it changes no verdict (see the module docstring).
 
-    ``fixed`` names variables that the ratio of the order-one factors f_i
-    and f_j is certified free of.  ``exact`` then expands the factors with
-    every ``fixed`` variable set to the first of ``_RESTRICTION_VALUES``
-    that leaves f_i and f_j nonzero, over all variables if none does (see
-    the module docstring).
+    Both methods first compare the sides' values at the table's seeded
+    points; a mismatch proves the sides differ.  ``exact`` uses one point
+    (trial 0 of ``randomized``) and then expands the restricted sides of
+    the identities that survive it.  ``randomized`` uses
+    ``RANDOMIZED_IDENTITY_TRIALS`` points and expands nothing.
     """
     _check_identity_method(method)
-    trials = 1 if method == "exact" else RANDOMIZED_IDENTITY_TRIALS
-    for t in range(trials):
-        values, ring = table.values(t, keys)
-        lhs, rhs = sides(*values)
-        if not ring.is_zero(lhs - rhs):
+    restrictions = [frozenset()]
+    for name in sorted(fixed):
+        restrictions = _bind(table, i, j, restrictions, name)
+    for name in own:
+        restrictions += _bind(table, i, j, restrictions, name)
+    # f_i|_S goes left when |S| is even, f_j|_S when it is odd
+    odd = [(len(r) - len(fixed)) % 2 for r in restrictions]
+    keys = ([(j if o else i, r) for r, o in zip(restrictions, odd)]
+            + [(i if o else j, r) for r, o in zip(restrictions, odd)])
+    for t in range(1 if method == "exact" else RANDOMIZED_IDENTITY_TRIALS):
+        lhs, rhs = _sides([table.value(t, v, r) for v, r in keys])
+        if not table.ring.is_zero(lhs - rhs):
             return False
     if method == "randomized":
         return True
-    factors = _restriction({key: table[key] for key in keys}, fixed)
-    lhs, rhs = sides(*(factors[key] for key in keys))
+    lhs, rhs = _sides([table.poly(v, r) for v, r in keys])
     return lhs == rhs
 
 
-def _restriction(factors: dict[Key, Polynomial], fixed: Collection[str]) -> dict[Key, Polynomial]:
-    """``factors`` with every ``fixed`` variable set to the first of
-    ``_RESTRICTION_VALUES`` that leaves each order-one factor nonzero, or
-    unchanged if none does."""
-    for c in _RESTRICTION_VALUES:
-        bindings = dict.fromkeys(fixed, c)
-        restricted = {key: p.substitute(bindings) for key, p in factors.items()}
-        if not any(p.is_zero for key, p in restricted.items() if len(key) == 1):
-            return restricted
-    return factors
+def _sides(factors: list) -> tuple:
+    """The products of the two halves of ``factors``."""
+    n = len(factors) // 2
+    return reduce(mul, factors[:n]), reduce(mul, factors[n:])
 
 
 def ratio_independent_of(
@@ -244,50 +247,35 @@ def ratio_independent_of(
 ) -> bool:
     """Does (df/dx_i)/(df/dx_j) not involve x_m?
 
-    Tested as the cleared-denominator identity
-    (d2f/di dm) * (df/dj) == (df/di) * (d2f/dj dm) on D*f (see the module
-    docstring).  ``is_special`` passes its verdict's derivative table as
-    ``_table``; a call without one builds its own for f and ``seed``.  It
-    also passes as ``_fixed`` the pivots other than x_i, x_j, x_m whose
-    rank certificate makes the ratio free of them; ``exact`` mode expands
-    the identity with those variables fixed to a constant.
+    Tested on D*f as P * Q|_{x_m=c} == Q * P|_{x_m=c}, P = df/dx_i and
+    Q = df/dx_j (see the module docstring).  ``is_special`` passes its
+    verdict's table as ``_table``, and as ``_fixed`` the pivots other than
+    x_i, x_j, x_m whose rank certificate makes the ratio free of them.
     """
     if len({i, j, m}) != 3:
         raise ValueError(f"variables must be distinct, got ({i}, {j}, {m})")
     table = _Derivatives(f, seed) if _table is None else _table
-    if table[(j,)].is_zero:
+    if table.poly(j).is_zero:
         raise ValueError(f"denominator derivative d/d{j} is zero")
-    return _identity_holds(table, ((i, m), (j,), (i,), (j, m)), _independence_sides, method, _fixed)
-
-
-def _independence_sides(fi_m, fj, fi, fj_m):
-    return fi_m * fj, fi * fj_m
+    return _identity_holds(table, i, j, (m,), method, _fixed)
 
 
 def ratio_separated(
     f: Polynomial, i: str, j: str, method: str = "exact", seed: int = 0,
     *, _table: _Derivatives | None = None, _fixed: Collection[str] = (),
 ) -> bool:
-    """Does the ratio (df/dx_i)/(df/dx_j) split into x_i-part / x_j-part?
+    """Does the ratio (df/dx_i)/(df/dx_j) split into x_i-part * x_j-part?
 
-    Equivalent to the mixed second logarithmic derivative in (x_i, x_j)
-    vanishing; tested after clearing denominators as
-    (g*g_ij - g_i*g_j) * h^2 == (h*h_ij - h_i*h_j) * g^2 on D*f, with
-    g = df/dx_i, h = df/dx_j, and ``_table`` and ``_fixed`` (here the
-    certified pivots other than x_i, x_j) as in
-    :func:`ratio_independent_of`.
+    Tested on D*f as the separation identity of the module docstring, with
+    ``_table`` and ``_fixed`` (here the certified pivots other than x_i,
+    x_j) as in :func:`ratio_independent_of`.
     """
     if i == j:
         raise ValueError("variables must be distinct")
     table = _Derivatives(f, seed) if _table is None else _table
-    if table[(i,)].is_zero or table[(j,)].is_zero:
+    if table.poly(i).is_zero or table.poly(j).is_zero:
         raise ValueError("both partial derivatives must be nonzero")
-    keys = ((i,), (i, i, j), (i, i), (i, j), (j,), (i, j, j), (i, j), (j, j))
-    return _identity_holds(table, keys, _separation_sides, method, _fixed)
-
-
-def _separation_sides(g, g_ij, g_i, g_j, h, h_ij, h_i, h_j):
-    return (g * g_ij - g_i * g_j) * (h * h), (h * h_ij - h_i * h_j) * (g * g)
+    return _identity_holds(table, i, j, (j, i), method, _fixed)
 
 
 def is_special(f: Polynomial, method: str = "exact", seed: int = 0) -> SpecialFormVerdict:
@@ -298,17 +286,18 @@ def is_special(f: Polynomial, method: str = "exact", seed: int = 0) -> SpecialFo
     after that trial has screened out the pivots it proves to have rank 2
     or more.  ``special`` is ``rank1`` on a polynomial that depends on
     every variable.  The pair checks are the per-pair report: identities
-    the passes certify hold, and the rest read one derivative table, are
-    refuted at the verdict's seeded points modulo a prime and, in
-    ``exact`` mode, expanded if they survive, with the variables of the
-    other passes fixed (see the module docstring).
+    the passes certify hold, and the rest read f_i and f_j at constant
+    restrictions from one table, with the variables of the other passes
+    fixed too, are refuted at the verdict's seeded points modulo a prime
+    and, in ``exact`` mode, expanded if they survive (see the module
+    docstring).
     """
     _check_identity_method(method)
     if f.vars.k < 3:
         raise ValueError("special-form detection needs at least 3 variables")
     names = f.vars.names
     table = _Derivatives(f, seed)
-    if any(table[(v,)].is_zero for v in names):
+    if any(table.poly(v).is_zero for v in names):
         return SpecialFormVerdict(
             rank1=False, depends_on_all=False, pair_checks={}, verdict="degenerate"
         )

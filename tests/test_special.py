@@ -1,4 +1,4 @@
-"""Special-form detection via derivative identities."""
+"""Special-form detection via identities of first-order partials."""
 
 import dataclasses
 import importlib
@@ -240,13 +240,6 @@ def test_randomized_identities_evaluate_modulo_prime(monkeypatch):
     assert moduli and set(moduli) == {PRIME}
 
 
-def _expanded_identity_holds(table, keys, sides, method, fixed=()):
-    """Reference rule for exact identities: expand both sides over every
-    variable, whatever ``fixed`` names, and compare."""
-    lhs, rhs = sides(*(table[key] for key in keys))
-    return lhs == rhs
-
-
 def _exact_differential_inputs():
     rng = random.Random(2608)
     for corpus in sorted(IDENTITY_CORPORA):
@@ -258,32 +251,18 @@ def _exact_differential_inputs():
     yield "power-12-perturbed", P("(x1+2*x2+x3)^12 + x1*x2^2"), 0
 
 
-def test_exact_identities_match_expanded_reference(monkeypatch):
-    # a residue mismatch proves the sides differ, so refuting mod PRIME
-    # before expanding must leave every exact verdict unchanged
-    for label, f, seed in _exact_differential_inputs():
-        verdict = is_special(f, method="exact", seed=seed)
-        with monkeypatch.context() as patched:
-            patched.setattr(special_module, "_identity_holds", _expanded_identity_holds)
-            reference = is_special(f, method="exact", seed=seed)
-        assert verdict.pair_checks == reference.pair_checks, label
-        assert verdict.to_json_dict() == reference.to_json_dict(), label
-
-
 def _count_expansions(monkeypatch):
-    """Patch both identity builders to record each symbolic expansion (a
-    call on polynomials, not on values at a point); returns the record."""
+    """Patch ``_sides`` to record each symbolic expansion (a call on
+    polynomials, not on values at a point); returns the record."""
     expanded = []
+    sides = special_module._sides
 
-    def counting(sides):
-        def wrapper(*factors):
-            if isinstance(factors[0], Polynomial):
-                expanded.append(sides.__name__)
-            return sides(*factors)
-        return wrapper
+    def counting(factors):
+        if isinstance(factors[0], Polynomial):
+            expanded.append(factors)
+        return sides(factors)
 
-    monkeypatch.setattr(special_module, "_independence_sides", counting(special_module._independence_sides))
-    monkeypatch.setattr(special_module, "_separation_sides", counting(special_module._separation_sides))
+    monkeypatch.setattr(special_module, "_sides", counting)
     return expanded
 
 
@@ -355,25 +334,6 @@ def _criterion_3_specials(count):
         yield f"criterion-3-{case}", random_special(rng, V3, multiplicative=case % 2 == 0, max_deg=3), case
 
 
-def test_certified_identities_hold_when_expanded(monkeypatch):
-    monkeypatch.setattr(special_module, "_identity_holds", _expanded_identity_holds)
-    certified = 0
-    inputs = itertools.chain(_exact_differential_inputs(), _criterion_3_specials(10))
-    for label, f, _ in inputs:
-        if not depends_on_all(f):
-            continue
-        names = f.vars.names
-        low = {m for m in names if _certificate(f, m)}
-        for i, j in itertools.combinations(names, 2):
-            for m in low - {i, j}:
-                assert ratio_independent_of(f, i, j, m), (label, i, j, m)
-                certified += 1
-            if {i, j} <= low:
-                assert ratio_separated(f, i, j), (label, i, j)
-                certified += 1
-    assert certified > 0
-
-
 V4 = var_set(4)
 
 
@@ -397,7 +357,8 @@ def _rank1_inputs():
 
 def test_rank1_is_the_exact_rank_and_the_independence_identities():
     # rank J_m <= 1 exactly when the 2x2 minors of J_m vanish, which is
-    # each independence identity (i, j, m) in columns i and j
+    # each independence identity (i, j, m) in columns i and j; and rank 1
+    # is exact, so no identity may contradict it
     inputs = _rank1_inputs()
     assert {label.split("-")[0] for label, _, _ in inputs} >= {"dense", "special", "criterion", "k4"}
     for label, f, seed in inputs:
@@ -406,6 +367,8 @@ def test_rank1_is_the_exact_rank_and_the_independence_identities():
             verdict = is_special(f, method=method, seed=seed)
             assert verdict.rank1 == rank1, (label, method)
             assert verdict.rank1 == all(c.independence_ok for c in verdict.pair_checks.values()), (label, method)
+            if rank1:
+                assert all(c.separation_ok for c in verdict.pair_checks.values()), (label, method)
             assert verdict.verdict == ("special" if rank1 else "not_special"), (label, method)
 
 
@@ -512,29 +475,71 @@ def _count_work(monkeypatch):
     # the certificate tests the screen's Jacobians: one map and one
     # Jacobian per pivot, and partials for the Jacobians and f_1, f_2, f_3
     ("(x1+x2^2+x3^3)^3", {"coefficient_map": 3, "jacobian": 3, "partial": 27}),
-    # the identities take each distinct derivative once and evaluate it
-    # once at the verdict's one point
-    ("(x1+x2^2+x3^3)^3 + x1*x2^2", {"coefficient_map": 3, "jacobian": 3, "partial": 39, "eval": 40}),
+    # the identities take no partial beyond f_1, f_2, f_3
+    ("(x1+x2^2+x3^3)^3 + x1*x2^2", {"coefficient_map": 3, "jacobian": 3, "partial": 27}),
 ])
 def test_is_special_builds_each_thing_once(monkeypatch, text, bounds):
     f = P(text)
     counts = _count_work(monkeypatch)
+    screen_evals = []
+    rank_screen = special_module.rank
+
+    def counting_screen(*args, **kwargs):
+        before = counts["eval"]
+        report = rank_screen(*args, **kwargs)
+        screen_evals.append(counts["eval"] - before)
+        return report
+
+    keys = set()
+    value = special_module._Derivatives.value
+
+    def recording(self, trial, v, r):
+        keys.add((trial, v, r))
+        return value(self, trial, v, r)
+
+    monkeypatch.setattr(special_module, "rank", counting_screen)
+    monkeypatch.setattr(special_module._Derivatives, "value", recording)
     is_special(f)
     for name, bound in bounds.items():
         assert counts[name] <= bound, (name, counts)
+    # each restricted partial the identities read is evaluated exactly once
+    # at the verdict's one point
+    assert counts["eval"] - sum(screen_evals) == len(keys), (counts, screen_evals)
 
 
-# ------------------------------------------------------------ restricted expansion
+# ------------------------------------------------------------ derivative reference
 
-def _full_expansion(monkeypatch):
-    """Patch ``_identity_holds`` to ignore ``fixed``: the point check runs
-    as before and every surviving identity is expanded over all variables."""
-    original = special_module._identity_holds
+def _derivative_independence(f, i, j, m):
+    """Reference: f_i / f_j is free of x_m when f_im * f_j == f_i * f_jm,
+    expanded over every variable."""
+    fi, fj = f.partial(i), f.partial(j)
+    return fi.partial(m) * fj == fi * fj.partial(m)
 
-    def full(table, keys, sides, method, fixed=()):
-        return original(table, keys, sides, method)
 
-    monkeypatch.setattr(special_module, "_identity_holds", full)
+def _derivative_separation(f, i, j):
+    """Reference: the mixed logarithmic derivative of g / h, g = f_i and
+    h = f_j, vanishes when (g*g_ij - g_i*g_j) * h^2 == (h*h_ij - h_i*h_j) * g^2,
+    expanded over every variable."""
+    def mixed(p):
+        return p * p.partial(i).partial(j) - p.partial(i) * p.partial(j)
+
+    g, h = f.partial(i), f.partial(j)
+    return mixed(g) * (h * h) == mixed(h) * (g * g)
+
+
+def _reference_verdict(f):
+    """The JSON of ``is_special(f)`` from the derivative identities alone:
+    every pair check expanded, no point check and no certificate, and
+    ``rank1`` from the exact rank."""
+    names = f.vars.names
+    if not depends_on_all(f):
+        return special_module.SpecialFormVerdict(False, False, {}, "degenerate").to_json_dict()
+    checks = {(i, j): special_module.PairCheck(
+                  all(_derivative_independence(f, i, j, m) for m in names if m not in (i, j)),
+                  _derivative_separation(f, i, j))
+              for i, j in itertools.combinations(names, 2)}
+    rank1 = rank(f, method="exact").overall == 1
+    return special_module.SpecialFormVerdict(rank1, True, checks, "special" if rank1 else "not_special").to_json_dict()
 
 
 def _restriction_inputs():
@@ -558,32 +563,36 @@ def _restriction_inputs():
 
 
 def _spy_identities(monkeypatch):
-    """Record (keys, fixed, result) of each ``_identity_holds`` call."""
+    """Record (i, j, own, fixed, result) of each ``_identity_holds`` call."""
     calls = []
     original = special_module._identity_holds
 
-    def spy(table, keys, sides, method, fixed=()):
-        result = original(table, keys, sides, method, fixed)
-        calls.append((keys, set(fixed), result))
+    def spy(table, i, j, own, method, fixed=()):
+        result = original(table, i, j, own, method, fixed)
+        calls.append((i, j, own, set(fixed), result))
         return result
 
     monkeypatch.setattr(special_module, "_identity_holds", spy)
     return calls
 
 
-def test_restricted_identities_match_full_expansion(monkeypatch):
+def test_identities_match_the_derivative_reference(monkeypatch):
+    # the restricted first-order identities are equivalent to the
+    # derivative identities whenever every restricted factor is nonzero;
+    # at x3 = 0, f_1 = 2*x1*x3 and f_2 = x3^2 of x3*(x1^2 + x2*x3) vanish
     calls = _spy_identities(monkeypatch)
-    restricted = set()  # (label, number of factors) of each restricted expansion
-    for label, f, seed in _restriction_inputs():
-        calls.clear()
-        verdict = is_special(f, method="exact", seed=seed)
-        restricted.update((label, len(keys)) for keys, fixed, held in calls if fixed and held)
-        with monkeypatch.context() as patched:
-            _full_expansion(patched)
-            reference = is_special(f, method="exact", seed=seed)
-        assert verdict.to_json_dict() == reference.to_json_dict(), label
-    # separations (8 factors) at k = 3, an independence (4 factors) at k = 4
-    assert {("(x1+2*x2+x3)^12 + x3^3", 8), ("k4-scaled", 4)} <= restricted
+    restricted = set()  # (label, number of own variables) of each restricted expansion
+    inputs = itertools.chain(_restriction_inputs(), _exact_differential_inputs(), _criterion_3_specials(10),
+                             [("x3*(x1^2 + x2*x3)", P("x3*(x1^2 + x2*x3)"), 0)])
+    for label, f, seed in inputs:
+        reference = _reference_verdict(f)
+        for method in ("exact", "randomized"):
+            calls.clear()
+            assert is_special(f, method=method, seed=seed).to_json_dict() == reference, (label, method)
+            if method == "exact":
+                restricted.update((label, len(own)) for _, _, own, fixed, held in calls if fixed and held)
+    # separations (two own variables) at k = 3, an independence at k = 4
+    assert {("(x1+2*x2+x3)^12 + x3^3", 2), ("k4-scaled", 1)} <= restricted
     assert sum(label.startswith("univariate") for label, _ in restricted) >= 4
 
 
@@ -596,49 +605,38 @@ def test_identities_fix_exactly_the_other_passes(monkeypatch):
         low = {m for m in f.vars.names if _certificate(f, m)}
         calls.clear()
         is_special(f, seed=seed)
-        for keys, fixed, _ in calls:
-            own = set(itertools.chain.from_iterable(keys))
-            assert fixed == low - own, (label, keys)
+        for i, j, own, fixed, _ in calls:
+            assert fixed == low - {i, j, *own}, (label, i, j, own)
             fixing += bool(fixed)
     assert fixing > 10
 
 
-def _factors_expanded(monkeypatch):
-    """Record the polynomial factors of each symbolic separation expansion."""
-    expanded = []
-    sides = special_module._separation_sides
-
-    def recording(*factors):
-        if isinstance(factors[0], Polynomial):
-            expanded.append(factors)
-        return sides(*factors)
-
-    monkeypatch.setattr(special_module, "_separation_sides", recording)
-    return expanded
-
-
-def test_restriction_falls_back_when_every_value_kills_a_factor(monkeypatch):
-    # x3 passes and x1, x2 do not, so separation (x1, x2) may fix x3; but
-    # f_1 = x2 * x3(x3^2-1)(x3^2-4) vanishes at every value tried
+def test_fixed_constant_skips_the_roots_of_the_factors(monkeypatch):
+    # x3 passes and x1, x2 do not, so separation (x1, x2) fixes x3; but
+    # f_1 = x2 * g(x3) vanishes at the roots 0, 1, -1, 2, -2 of g, so the
+    # first constant that leaves it nonzero is 3
     f = P("x3*(x3^2-1)*(x3^2-4)*(x1*x2+1)")
     assert [m for m in f.vars.names if _certificate(f, m)] == ["x3"]
-    assert all(f.partial("x1").substitute({"x3": c}).is_zero for c in special_module._RESTRICTION_VALUES)
-    expanded = _factors_expanded(monkeypatch)
+    chosen = []
+    original = special_module._bind
+
+    def spy(table, i, j, restrictions, name):
+        bound = original(table, i, j, restrictions, name)
+        chosen.append((i, j, name, list(bound)))
+        return bound
+
+    monkeypatch.setattr(special_module, "_bind", spy)
     verdict = is_special(f)
+    assert ("x1", "x2", "x3", [frozenset({("x3", 3)})]) in chosen
+    assert {c for _, _, name, bound in chosen for r in bound for v, c in r if v == "x3"} == {3}
     assert verdict.pair_checks[("x1", "x2")].separation_ok
-    # the held separation was expanded on the full derivatives
-    g, h = f.partial("x1"), f.partial("x2")
-    assert any(factors[0] == g and factors[4] == h for factors in expanded)
-    with monkeypatch.context() as patched:
-        _full_expansion(patched)
-        assert is_special(f).to_json_dict() == verdict.to_json_dict()
+    assert verdict.to_json_dict() == _reference_verdict(f)
 
 
 def _no_point_check(monkeypatch):
-    """Make every identity pass its point check, so that only the symbolic
-    step decides."""
-    monkeypatch.setattr(special_module._Derivatives, "values",
-                        lambda self, trial, keys: ([0] * len(keys), RATIONALS))
+    """Make every value zero, so that every identity passes its point check
+    and only the symbolic step decides."""
+    monkeypatch.setattr(special_module._Derivatives, "value", lambda self, trial, v, r: 0)
 
 
 def test_restriction_needs_the_rank_certificate(monkeypatch):
@@ -648,11 +646,8 @@ def test_restriction_needs_the_rank_certificate(monkeypatch):
     assert not any(_certificate(f, m) for m in f.vars.names)
     _no_point_check(monkeypatch)
     table = special_module._Derivatives(f, 0)
-    keys = (("x1",), ("x1", "x1", "x2"), ("x1", "x1"), ("x1", "x2"),
-            ("x2",), ("x1", "x2", "x2"), ("x1", "x2"), ("x2", "x2"))
-    separation = special_module._separation_sides
-    assert special_module._identity_holds(table, keys, separation, "exact", ("x3",))
-    assert not special_module._identity_holds(table, keys, separation, "exact")
+    assert special_module._identity_holds(table, "x1", "x2", ("x2", "x1"), "exact", ("x3",))
+    assert not special_module._identity_holds(table, "x1", "x2", ("x2", "x1"), "exact")
     assert not ratio_separated(f, "x1", "x2")
     # is_special fixes no variable here, so the symbolic step refutes it
     assert not is_special(f).pair_checks[("x1", "x2")].separation_ok
