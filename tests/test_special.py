@@ -576,14 +576,51 @@ def _spy_identities(monkeypatch):
     return calls
 
 
-def test_identities_match_the_derivative_reference(monkeypatch):
+def _assert_matches_reference(f, seed, label):
+    """Assert ``is_special(f)`` under both methods equals the derivative
+    reference."""
+    reference = _reference_verdict(f)
+    for method in ("exact", "randomized"):
+        assert is_special(f, method=method, seed=seed).to_json_dict() == reference, (label, method)
+
+
+def test_exact_identities_match_expanded_reference():
+    # a residue mismatch proves the sides differ, so refuting mod PRIME
+    # before expanding, and expanding only at the chosen constants, must
+    # leave every verdict equal to the derivative identities expanded in full
+    for label, f, seed in _exact_differential_inputs():
+        _assert_matches_reference(f, seed, label)
+
+
+def test_certified_identities_hold_when_expanded():
+    # an identity the rank passes certify is never expanded by is_special;
+    # the derivative identities, expanded over every variable, must hold
+    certified = 0
+    inputs = itertools.chain(_exact_differential_inputs(), _criterion_3_specials(10))
+    for label, f, seed in inputs:
+        if not depends_on_all(f):
+            continue
+        names = f.vars.names
+        low = {m for m in names if _certificate(f, m)}
+        for i, j in itertools.combinations(names, 2):
+            for m in low - {i, j}:
+                assert _derivative_independence(f, i, j, m), (label, i, j, m)
+                certified += 1
+            if {i, j} <= low:
+                assert _derivative_separation(f, i, j), (label, i, j)
+                certified += 1
+        if label.startswith("criterion"):
+            _assert_matches_reference(f, seed, label)
+    assert certified > 0
+
+
+def test_restricted_identities_match_full_expansion(monkeypatch):
     # the restricted first-order identities are equivalent to the
     # derivative identities whenever every restricted factor is nonzero;
     # at x3 = 0, f_1 = 2*x1*x3 and f_2 = x3^2 of x3*(x1^2 + x2*x3) vanish
     calls = _spy_identities(monkeypatch)
     restricted = set()  # (label, number of own variables) of each restricted expansion
-    inputs = itertools.chain(_restriction_inputs(), _exact_differential_inputs(), _criterion_3_specials(10),
-                             [("x3*(x1^2 + x2*x3)", P("x3*(x1^2 + x2*x3)"), 0)])
+    inputs = itertools.chain(_restriction_inputs(), [("x3*(x1^2 + x2*x3)", P("x3*(x1^2 + x2*x3)"), 0)])
     for label, f, seed in inputs:
         reference = _reference_verdict(f)
         for method in ("exact", "randomized"):
