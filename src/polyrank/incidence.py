@@ -72,11 +72,11 @@ def build_instance(
     The certifying minor is the pivot minor of exact ``rank_in`` in the
     first variable, nonzero by construction; its rows are reported by the
     pivot exponents i of their alphas (the labels rank reports for witness
-    rows).  So the Jacobian is that of the cleared multiple D*f unless
-    PRIME divides D: scaling by D scales each minor by D^(k-1), so the
-    witness and the suffixes that kill it are those of f, while the
-    partials see integers.  The curves are read off that map and divided by
-    D > 0 once each, which keeps them distinct and in order.
+    rows).  So the Jacobian is that of the cleared multiple D*f: scaling
+    by D scales each minor by D^(k-1), so the witness and the suffixes
+    that kill it are those of f, while the partials see integers.  The
+    curves are read off that map and divided by D > 0 once each, which
+    keeps them distinct and in order.
     """
     vars = f.vars
     k = vars.k

@@ -8,6 +8,7 @@ Grammar (whitespace between tokens is ignored)::
     base    := atom [ "^" natural ]
     atom    := rational | variable | "(" expr ")"
     rational:= natural [ "/" natural ]
+    natural matches [0-9]+
     variable matches [A-Za-z][A-Za-z0-9]*
 
 There is no general division operator: ``/`` only joins two integer
@@ -19,6 +20,7 @@ so parse -> print -> parse is the identity.
 
 from __future__ import annotations
 
+import string
 from fractions import Fraction
 from operator import add
 
@@ -34,6 +36,9 @@ class ParseError(ValueError):
 
 
 _OPERATORS = set("+-*^()/")
+_DIGITS = set(string.digits)
+_LETTERS = set(string.ascii_letters)
+_NAME_CHARS = _LETTERS | _DIGITS
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -48,16 +53,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             j = i
-            while j < n and text[j].isalnum():
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j

@@ -138,6 +138,8 @@ def _inverse(denominator: int, modulus: int) -> int:
 
 def _residue(value: Scalar, modulus: int) -> int:
     """``value`` mod a prime ``modulus``: a/b maps to a * b^-1."""
+    if isinstance(value, int):
+        return value % modulus
     value = _as_scalar(value)
     return value.numerator * _inverse(value.denominator, modulus) % modulus
 
@@ -579,10 +581,12 @@ class Polynomial:
                 continue
             key = tuple(e)
             s = out.get(key, 0) + c
-            if s:
+            if not s:
+                del out[key]
+            elif s.__class__ is int or s.denominator != 1:
                 out[key] = s
             else:
-                del out[key]
+                out[key] = s.numerator
         return Polynomial._raw(self.vars, out)
 
     # -- comparison and hashing --------------------------------------------

@@ -28,16 +28,15 @@ methods are provided:
   (the generic rank whenever it hits min(rows, cols)).  Reduction mod p
   can only lower the rank at a point, so a trial misses the generic rank
   with probability at most deg / (2B + 1) (Schwartz-Zippel) plus about
-  (number of pivots) / p.  A trial whose point has no residue (p divides
-  a coefficient's denominator) is eliminated over Q instead.
+  (number of pivots) / p.
 
 Both methods rank a rational f as its cleared multiple D*f, D the lcm of
-its coefficient denominators, unless p divides D.  D is then a unit of Q
-and of Z/p, and scaling a matrix by a unit scales each r-minor by D^r:
-every minor that was zero stays zero and no other becomes zero, so the
-elimination takes the same pivots and reports the same rank and witness,
-while the coefficient map, its partials, the evaluations and the
-elimination see integers only.  When p divides D, f is ranked as given.
+its coefficient denominators.  D is a unit of Q, and scaling a matrix by
+a unit scales each r-minor by D^r: every minor that was zero stays zero
+and no other becomes zero, so the elimination takes the same pivots and
+reports the same rank and witness, while the coefficient map, its
+partials, the evaluations and the elimination see integers only.  The
+trials run mod p when D is a unit of Z/p too, and over Q when p divides D.
 
 The degree of the polynomial entries never changes the contracts, only
 the running time.
@@ -199,7 +198,7 @@ class Ring(NamedTuple):
 #: is looked up at each call, so a wrapper bound to the module name (as the
 #: perfbench tracer installs) sees every division.
 POLYNOMIALS = Ring(operator.mul, operator.sub, lambda a, b: exact_div(a, b), operator.attrgetter("is_zero"))
-#: The field Q, for a trial whose point has no residue mod PRIME.
+#: The field Q, for the trials of a D*f whose D is divisible by PRIME.
 RATIONALS = Ring(operator.mul, operator.sub, operator.truediv, operator.not_)
 #: The field Z/PRIME, for randomized trials; ``is_zero`` accepts any int.
 MOD_PRIME = Ring(lambda a, b: a * b % PRIME, lambda a, b: (a - b) % PRIME,
@@ -270,34 +269,23 @@ def sample_point(seed: int, trial: int, count: int, degree: int) -> list[int]:
     return [rng.randint(-bound, bound) for _ in range(count)]
 
 
-def trial_values(polys: Sequence[Polynomial], point: Sequence[int]) -> tuple[list[Scalar], Ring]:
-    """The values of ``polys`` at ``point`` and the ring they live in.
-
-    The values are residues mod PRIME, unless PRIME divides the
-    denominator of some coefficient: then they are exact rationals.
-    """
-    try:
-        return [p.eval(point, PRIME) for p in polys], MOD_PRIME
-    except ZeroDivisionError:
-        return [p.eval(point) for p in polys], RATIONALS
-
-
-def _cleared_multiple(f: Polynomial) -> tuple[Polynomial, int, bool]:
-    """``(D*f, D, True)``, D the lcm of f's coefficient denominators, or
-    ``(f, 1, False)`` when PRIME divides D (see the module docstring).  An
-    integral f is returned as it is."""
+def _cleared_multiple(f: Polynomial) -> tuple[Polynomial, int, int | None]:
+    """``(D*f, D, modulus)``, D the lcm of f's coefficient denominators and
+    ``modulus`` that of its randomized trials: PRIME, or None when PRIME
+    divides D (see the module docstring).  An integral f is returned as it
+    is."""
     terms, scale = _integral(f.terms)
-    if not scale % PRIME:
-        return f, 1, False
-    return (f if scale == 1 else Polynomial._raw(f.vars, terms)), scale, True
+    cleared = f if scale == 1 else Polynomial._raw(f.vars, terms)
+    return cleared, scale, PRIME if scale % PRIME else None
 
 
-def _randomized_rank(m: PolyMatrix, trials: int, seed: int) -> tuple[int, Witness]:
-    """Max rank over trials of ``m`` at seeded points, each eliminated mod
-    PRIME (or over Q, see :func:`trial_values`); stops at full rank.
+def _randomized_rank(m: PolyMatrix, trials: int, seed: int, modulus: int | None = PRIME) -> tuple[int, Witness]:
+    """Max rank over trials of ``m`` at seeded points, each evaluated and
+    eliminated mod PRIME, or over Q when ``modulus`` is None; stops at full
+    rank.
 
-    A trial's pivot minor is nonzero mod PRIME, so it is nonzero over Q:
-    the witness proves rank >= r.  Reduction mod PRIME can only lower the
+    A trial's pivot minor is nonzero at its point, mod PRIME or over Q, so
+    it is nonzero over Q: the witness proves rank >= r.  Reduction mod PRIME can only lower the
     rank at a point, so the result never exceeds the generic rank.  Each
     trial misses with probability at most deg / (2B + 1) for the draw
     plus about (number of pivots) / PRIME for the reduction.
@@ -305,13 +293,12 @@ def _randomized_rank(m: PolyMatrix, trials: int, seed: int) -> tuple[int, Witnes
     if trials < 1:
         raise ValueError("trials must be >= 1")
     degree = m.total_degree()
-    entries = [p for row in m.entries for p in row]
+    ring = MOD_PRIME if modulus else RATIONALS
     best = 0
     best_witness = Witness((), ())
     for t in range(trials):
-        values, ring = trial_values(entries, sample_point(seed, t, m.vars.k, degree))
-        rows = [values[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
-        r, witness, _ = bareiss(rows, ring)
+        point = sample_point(seed, t, m.vars.k, degree)
+        r, witness, _ = bareiss([[p.eval(point, modulus) for p in row] for row in m.entries], ring)
         if r > best:
             best, best_witness = r, witness
             if best == min(m.rows, m.cols):
@@ -331,18 +318,17 @@ def _rank_in_with_witness(
     """:func:`rank_in`, its pivot minor (rows labelled by pivot exponent,
     columns indexing the non-pivot variables in order), the Jacobian it
     ranked, that Jacobian's coefficient map and the scale D of the ranked
-    D*f: a rational f is cleared unless PRIME divides D (see the module
-    docstring), and is then ranked as it is, with D = 1."""
-    f, scale, _ = _cleared_multiple(f)
+    D*f (see the module docstring)."""
+    f, scale, modulus = _cleared_multiple(f)
     cm = coefficient_map(f, v)
     m = jacobian(cm)
     if method == "exact":
         r, witness = generic_rank_exact(m)
     elif method == "randomized":
         # The witness is self-certifying: full pivoting only ever selects a
-        # minor whose determinant is nonzero mod PRIME at the sample point,
-        # which proves the symbolic determinant is nonzero.
-        r, witness = _randomized_rank(m, trials, seed)
+        # minor whose determinant is nonzero at the sample point (mod PRIME
+        # or over Q), which proves the symbolic determinant is nonzero.
+        r, witness = _randomized_rank(m, trials, seed, modulus)
     else:
         raise ValueError(f"unknown rank method {method!r} (expected 'exact' or 'randomized')")
     return r, witness._replace(rows=tuple(cm.exponents[i] for i in witness.rows)), m, cm, scale
@@ -389,9 +375,9 @@ def rank(
     The witness records a full-rank minor of the Jacobian for the first
     pivot variable attaining the overall rank; its rows are labelled by
     the pivot exponents of their alphas.  A ``_jacobians`` dict is filled
-    with the Jacobian each pivot was ranked on (that of the cleared D*f
-    unless PRIME divides D), so a caller that goes on to test those
-    matrices does not build them again; the report keeps none of them.
+    with the Jacobian each pivot was ranked on (that of the cleared D*f),
+    so a caller that goes on to test those matrices does not build them
+    again; the report keeps none of them.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no rank")

@@ -44,23 +44,24 @@ at constants c, c' that leave every restricted factor nonzero:
    per-pair report.
 3. The identities left read P and Q under restrictions from one table
    per verdict, built on the cleared multiple D*f, D the lcm of f's
-   coefficient denominators, unless the prime 2^61 - 1 divides D (both
-   identities are homogeneous in f, so clearing changes no verdict).  One
-   chooser takes each constant as the first of 0, 1, -1, 2, -2, ... that
-   leaves every restricted factor nonzero; it always ends, since a
-   nonzero factor vanishes at no more constants than its degree.  The
-   passes restrict the identities further: a pass at a pivot x_m other
-   than the identity's own variables makes R free of x_m (step 2), so x_m
-   is fixed through the same chooser and no verdict changes.
+   coefficient denominators, as rank clears f (both identities are
+   homogeneous in f, so clearing changes no verdict).  One chooser takes
+   each constant as the first of 0, 1, -1, 2, -2, ... that leaves every
+   restricted factor nonzero; it always ends, since a nonzero factor
+   vanishes at no more constants than its degree.  The passes restrict
+   the identities further: a pass at a pivot x_m other than the
+   identity's own variables makes R free of x_m (step 2), so x_m is fixed
+   through the same chooser and no verdict changes.
 4. Every identity is evaluated at the same seeded random integer points,
    drawn for the one degree bound 4 * deg f, which bounds the degree of
    every side; a restricted factor's value is f_v at the point with its
-   restricted coordinates set, computed once.  Values are residues modulo
-   the prime (exact rationals when it divides D), and a mismatch proves
-   the sides differ (Schwartz-Zippel).  The default ``exact`` mode uses
-   one point and then expands the restricted sides of the identities that
-   survive; a ``randomized`` mode uses 20 points, and a match everywhere
-   is then the probabilistic verdict "identical".
+   restricted coordinates set, computed once.  As in rank's trials on
+   D*f, values are residues modulo the prime 2^61 - 1, or exact rationals
+   when it divides D; a mismatch proves the sides differ
+   (Schwartz-Zippel).  The default ``exact`` mode uses one point and then
+   expands the restricted sides of the identities that survive; a
+   ``randomized`` mode uses 20 points, and a match everywhere is then the
+   probabilistic verdict "identical".
 
 No attempt is made to recover the composition (h, p_1, ..., p_k) or to
 distinguish the additive from the multiplicative shape; the verdict only
@@ -76,7 +77,7 @@ from operator import mul
 from typing import Collection
 
 from .poly import Polynomial, Scalar
-from .rank import POLYNOMIALS, RATIONALS, PolyMatrix, Ring, _cleared_multiple, bareiss, rank, sample_point, trial_values
+from .rank import MOD_PRIME, POLYNOMIALS, RATIONALS, PolyMatrix, _cleared_multiple, bareiss, rank, sample_point
 
 #: Trials used by the randomized identity mode.
 RANDOMIZED_IDENTITY_TRIALS = 20
@@ -137,23 +138,20 @@ class _Derivatives:
     """The partials f_v of f under restrictions, and their values at seeded
     points, each computed once.
 
-    f is cleared to D*f unless PRIME divides D, as rank does.  Trial t
+    f is cleared to D*f as rank clears it, and the values live in the ring
+    of rank's trials on D*f: Z/PRIME, or Q when PRIME divides D.  Trial t
     evaluates at ``sample_point(seed, t, k, 4 * deg f)`` with the
     restricted coordinates set.
     """
 
     def __init__(self, f: Polynomial, seed: int):
-        # With PRIME dividing D, f stays as given and every value is exact:
-        # some of its partials have residues and some do not.
-        self._f, _, self._modular = _cleared_multiple(f)
+        self._f, _, self._modulus = _cleared_multiple(f)
+        self.ring = MOD_PRIME if self._modulus else RATIONALS
         self._seed = seed
         self.degree = 4 * max(self._f.total_degree(), 0)
         self._polys: dict[tuple[str, Restriction], Polynomial] = {}
         self._points: dict[int, list[int]] = {}
         self._values: dict[tuple[int, str, Restriction], Scalar] = {}
-        # The ring of the values: ``trial_values`` picks the same one for
-        # every partial with integer coefficients.
-        self.ring: Ring = RATIONALS
 
     def poly(self, v: str, r: Restriction = frozenset()) -> Polynomial:
         """f_v with the variables of ``r`` fixed."""
@@ -171,11 +169,7 @@ class _Derivatives:
             point = list(self._points[trial])
             for name, c in r:
                 point[self._f.vars.index(name)] = c
-            if self._modular:
-                (value,), self.ring = trial_values([self.poly(v)], point)
-            else:
-                value = self.poly(v).eval(point)
-            self._values[trial, v, r] = value
+            value = self._values[trial, v, r] = self.poly(v).eval(point, self._modulus)
         return value
 
 

@@ -181,6 +181,20 @@ def det_m_sign(d: int) -> int:
     raise AssertionError(f"det(M) is not +-Vandermonde for d={d}")
 
 
+def eval_moduli(monkeypatch) -> list:
+    """Patch ``Polynomial.eval`` to record the modulus of each call;
+    returns the record."""
+    moduli = []
+    original = Polynomial.eval
+
+    def spy(self, point, modulus=None):
+        moduli.append(modulus)
+        return original(self, point, modulus)
+
+    monkeypatch.setattr(Polynomial, "eval", spy)
+    return moduli
+
+
 def canonical_types(values) -> bool:
     """int for every integral value, Fraction for every other one."""
     return all(type(v) is (int if Fraction(v).denominator == 1 else Fraction) for v in values)

@@ -1,6 +1,7 @@
 """Core polynomial arithmetic, parsing, and calculus."""
 
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 from unittest import mock
@@ -89,6 +90,33 @@ def test_parse_errors_carry_position():
         P("1/0")
 
 
+def test_non_ascii_characters_are_parse_errors():
+    # the grammar's digits are 0-9 and its names [A-Za-z][A-Za-z0-9]*
+    for text, position in (("\u0663*x1", 0), ("x1^\u00b2", 3), ("\u00b2*x1", 0), ("x\u00e9", 1),
+                           ("x\u0661", 1), ("\uff11 + x1", 0), ("x1 + x\u00b2", 6)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            P(text)
+        assert err.value.position == position, text
+
+
+# Valid tokens mixed with non-ASCII digits and letters and other stray
+# characters; at most two digits per literal keep every draw fast.
+_PARSE_TOKENS = ["x1", "x2", "x3", "x", "y2", "0", "1", "2", "/", "+", "-", "*", "^", "(", ")", " ",
+                 "\u00b2", "\u0663", "\u00e9", "_"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=12).map("".join).filter(
+    lambda text: not re.search("[0-9]{3}", text)))
+def test_parse_returns_a_polynomial_or_a_positioned_error(text):
+    try:
+        p = P(text)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert P(str(p)) == p
+
+
 def test_vars_must_be_valid():
     with pytest.raises(ValueError):
         VarSet(("x1", "x1"))
@@ -155,6 +183,20 @@ def test_partial_keeps_canonical_coefficient_types():
         for name in V3.names:
             for c in g.partial(name).terms.values():
                 assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+def test_substitute_keeps_canonical_coefficient_types():
+    # 2*x1*x2 + x2 at x2 = 1/2 is x1 + 1/2: the x1 coefficient is int 1
+    V2 = var_set(2)
+    g = P("2*x1*x2 + x2", V2).substitute({"x2": Fraction(1, 2)})
+    assert g.terms == {(1, 0): 1, (0, 0): Fraction(1, 2)}
+    assert type(g.terms[(1, 0)]) is int
+    rng = random.Random(17)
+    for _ in range(200):
+        f = sparse_random_polynomial(rng, V3) * Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        bindings = {name: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                    for name in rng.sample(V3.names, rng.randint(1, 3))}
+        assert canonical_types(f.substitute(bindings).terms.values())
 
 
 def test_eval_examples():

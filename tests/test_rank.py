@@ -27,14 +27,15 @@ from polyrank.rank import (
     PRIME,
     RATIONALS,
     Witness,
+    _cleared_multiple,
     _randomized_rank,
     bareiss,
     sample_point,
-    trial_values,
 )
 from gens import (
     degree_in,
     dense_random_polynomial,
+    eval_moduli,
     gapped_random_polynomial,
     permute_polynomial,
     random_point,
@@ -535,25 +536,38 @@ def test_division_kernel_leaves_elimination_unchanged(corpus, monkeypatch):
         assert sum(kernel_quotients) >= 20
 
 
-def test_prime_denominator_takes_the_rational_path():
+def test_prime_denominator_takes_the_rational_path(monkeypatch):
+    # PRIME divides D: the cleared D*f is ranked, every trial over Q
     for denominator in (PRIME, 3 * PRIME):
         f = P("x1*x3 + x2*x3^2") + Polynomial(V3, {(1, 1, 2): Fraction(1, denominator)})
         with pytest.raises(ZeroDivisionError):
             f.eval([1, 2, 3], PRIME)
+        cleared, scale, modulus = _cleared_multiple(f)
+        assert (scale, modulus) == (denominator, None)
+        assert cleared == f * denominator
         jac = jacobian(coefficient_map(f, "x3"))
-        _, ring = trial_values([p for row in jac.entries for p in row], sample_point(0, 0, 3, 4))
-        assert ring is RATIONALS
+        cleared_jac = jacobian(coefficient_map(cleared, "x3"))
         for seed in range(3):
-            assert _randomized_rank(jac, 5, seed) == _rational_randomized_rank(jac, 5, seed)
-            assert rank(f, seed=seed).to_json_dict() == _rational_rank_json(f, 5, seed)
+            assert _randomized_rank(cleared_jac, 5, seed, modulus) == _rational_randomized_rank(jac, 5, seed)
+            with monkeypatch.context() as patched:
+                moduli = eval_moduli(patched)
+                report = rank(f, seed=seed).to_json_dict()
+            assert moduli and set(moduli) == {None}
+            assert report == _rational_rank_json(f, 5, seed)
 
 
 def _uncleared_rank_json(f, method, trials, seed):
     """rank(f, ...).to_json_dict() on the sparse Jacobians of f itself,
-    with no clearing of denominators."""
+    with no clearing of denominators; a randomized Jacobian with an entry
+    whose denominator PRIME divides is ranked by the rational reference."""
     def rank_of(v, s):
         cm = coefficient_map(f, v)
-        r, w = _dense_rank_with_witness(jacobian(cm), method, trials, s)
+        jac = jacobian(cm)
+        if method == "randomized" and any(c.denominator % PRIME == 0 for row in jac.entries
+                                          for p in row for c in p.terms.values()):
+            r, w = _rational_randomized_rank(jac, trials, s)
+        else:
+            r, w = _dense_rank_with_witness(jac, method, trials, s)
         return r, w._replace(rows=tuple(cm.exponents[i] for i in w.rows))
 
     return _report_json(f, method, trials, seed, rank_of)
@@ -575,7 +589,7 @@ def _rational_corpus():
 
 @pytest.mark.parametrize("method", ["exact", "randomized"])
 def test_cleared_rank_matches_uncleared_jacobians(method, monkeypatch):
-    # rank clears a rational f to D*f unless PRIME divides D; ranks and
+    # rank clears every rational f to D*f, PRIME | D included; ranks and
     # witnesses must be those of the Jacobians of f itself
     integral_maps = []
 
@@ -588,19 +602,11 @@ def test_cleared_rank_matches_uncleared_jacobians(method, monkeypatch):
         assert any(type(c) is Fraction for c in f.terms.values())
         integral_maps.clear()
         assert rank(f, method=method, seed=case).to_json_dict() == _uncleared_rank_json(f, method, 5, case)
-        prime_denominator = any(c.denominator % PRIME == 0 for c in f.terms.values())
-        assert integral_maps == [not prime_denominator] * f.vars.k
+        assert integral_maps == [True] * f.vars.k
 
 
 def test_randomized_trials_evaluate_modulo_prime(monkeypatch):
-    moduli = []
-    original = Polynomial.eval
-
-    def spy(self, point, modulus=None):
-        moduli.append(modulus)
-        return original(self, point, modulus)
-
-    monkeypatch.setattr(Polynomial, "eval", spy)
+    moduli = eval_moduli(monkeypatch)
     rng = random.Random(2605)
     for case in range(12):
         vars = var_set(3 + case % 2)

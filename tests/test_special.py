@@ -21,9 +21,10 @@ from polyrank import (
     ratio_separated,
 )
 from polyrank import special as special_module
-from polyrank.rank import POLYNOMIALS, PRIME, RATIONALS, bareiss
+from polyrank.rank import POLYNOMIALS, PRIME, _cleared_multiple, bareiss
 from gens import (
     dense_random_polynomial,
+    eval_moduli,
     gapped_random_polynomial,
     perturbed_special,
     random_special,
@@ -182,9 +183,11 @@ def test_randomized_identities_agree_with_exact():
         assert exact.pair_checks == fast.pair_checks
 
 
-def _rational_trial_values(polys, point):
-    """Exact Fraction values: the reference for identities checked mod PRIME."""
-    return [p.eval(point) for p in polys], RATIONALS
+def _rational_cleared_multiple(f):
+    """``_cleared_multiple`` with the modulus None, so every value is an
+    exact rational: the reference for identities checked mod PRIME."""
+    cleared, scale, _ = _cleared_multiple(f)
+    return cleared, scale, None
 
 
 IDENTITY_CORPORA = {
@@ -204,7 +207,7 @@ def test_modular_identities_match_rational_reference(corpus, monkeypatch):
         for method in ("exact", "randomized"):
             modular = is_special(f, method=method, seed=case)
             with monkeypatch.context() as patched:
-                patched.setattr(special_module, "trial_values", _rational_trial_values)
+                patched.setattr(special_module, "_cleared_multiple", _rational_cleared_multiple)
                 reference = is_special(f, method=method, seed=case)
             assert modular.pair_checks == reference.pair_checks
             assert modular.to_json_dict() == reference.to_json_dict()
@@ -216,23 +219,20 @@ def _prime_denominator_special():
     return inner * inner
 
 
-def test_prime_denominator_identities_take_the_rational_path():
+def test_prime_denominator_identities_take_the_rational_path(monkeypatch):
     f = _prime_denominator_special()
     assert is_special(f, method="randomized").to_json_dict() == is_special(f, method="exact").to_json_dict()
-    assert is_special(f, method="randomized").verdict == "special"
     g = f + P("x1*x2^2")
     assert is_special(g, method="randomized").to_json_dict() == is_special(g, method="exact").to_json_dict()
+    # PRIME divides D: the rank screen and every identity value run over Q
+    moduli = eval_moduli(monkeypatch)
+    assert is_special(f, method="randomized").verdict == "special"
+    assert is_special(g, method="randomized").verdict == "not_special"
+    assert moduli and set(moduli) == {None}
 
 
 def test_randomized_identities_evaluate_modulo_prime(monkeypatch):
-    moduli = []
-    original = Polynomial.eval
-
-    def spy(self, point, modulus=None):
-        moduli.append(modulus)
-        return original(self, point, modulus)
-
-    monkeypatch.setattr(Polynomial, "eval", spy)
+    moduli = eval_moduli(monkeypatch)
     rng = random.Random(2607)
     for case in range(6):
         is_special(IDENTITY_CORPORA["special"](rng), method="randomized", seed=case)
