@@ -21,6 +21,7 @@ from . import __version__
 from .expansion import (
     DEFAULT_BUDGET,
     SetSpec,
+    _check_budget,
     _set_seed,
     degenerate_demo,
     expansion_report,
@@ -80,9 +81,10 @@ def _parse_vars(text: str) -> VarSet:
     return VarSet(names)
 
 
-def _parse_sets(text: str, vars: VarSet, seed: int) -> list[tuple]:
+def _parse_sets(text: str, vars: VarSet, seed: int, budget: int | None = None) -> list[tuple]:
     """Either 'kind:n' (one recipe for every variable, per-variable seeds)
-    or explicit '|'-separated value lists, one per variable."""
+    or explicit '|'-separated value lists, one per variable.  A 'kind:n'
+    grid over ``budget`` tuples is refused before any set is drawn."""
     if "|" in text or ":" not in text:
         groups = [tuple(_parse_list(group, "--sets", Fraction, "rationals")) for group in text.split("|")]
         if len(groups) != vars.k:
@@ -95,6 +97,8 @@ def _parse_sets(text: str, vars: VarSet, seed: int) -> list[tuple]:
         n = int(n_text)
     except ValueError:
         raise ValueError(f"set size must be an integer, got {n_text!r}") from None
+    if budget is not None and n > 0:
+        _check_budget(n**vars.k, budget)
     return [generate_set(SetSpec(kind, n, seed=_set_seed(seed, i))) for i in range(vars.k)]
 
 
@@ -177,7 +181,7 @@ def _cmd_incidence(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
     vars = _parse_vars(args.vars)
     f = parse(args.poly, vars)
-    sets = _parse_sets(args.sets, vars, args.seed)
+    sets = _parse_sets(args.sets, vars, args.seed, budget)
     inst = build_instance(f, sets, budget=budget)
     _emit(full_report(inst, eps=args.eps))
     return 0

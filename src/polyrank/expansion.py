@@ -17,17 +17,18 @@ D = c * prod D_i^deg_i(f) makes every coefficient of F an integer.
 Dividing by D is injective, so :func:`image_size` counts the values of F
 in integers; only :func:`image_values` divides each distinct value by D,
 once at the end.  No other module clears a grid.
-The innermost variable is the one of lowest degree in f, then in the
-fewest terms, then of lowest index; a variable f does not contain drops
-out.  The outer prefixes are substituted into the sparse term map, the
-last outer variable column-wise, and a residual met before at the same
-depth is skipped.  Each residual in the innermost variable is a constant
-plus a nonconstant part; residuals are grouped by that part, each
-distinct part is evaluated once over the innermost set with C-level
-``map`` over precomputed power columns, and the constants are then added
-to its values.  On the structured sets where images collapse (intervals,
-geometric progressions) many prefixes share a part, so far fewer than
-one evaluation per grid point remains.
+The innermost variable is the one with the most distinct values (then of
+lowest degree in f, then in the fewest terms, then of lowest index); a
+variable f does not contain drops out.  As a polynomial in the innermost
+variable, f has one coefficient per exponent, and each is evaluated as one
+column over the whole outer grid with C-level ``map`` over tiled power
+columns.  The outer points are grouped by their tuple of nonconstant
+coefficients, each group holding a set of constants.  Each distinct part
+is evaluated once over the innermost set, parts with equal constant sets
+are merged, and the constants are added from the smaller side.  The
+grouping loop runs in Python once per outer point, so the largest set
+goes innermost.  On intervals and geometric progressions, where images
+collapse, many outer points share a part.
 
 Fitted growth exponents (least squares on log-log data) are compared to
 the theoretical exponent (5r - 4) / (2r) attached to a polynomial of rank
@@ -41,8 +42,9 @@ import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add as _add
+from collections import defaultdict
+from itertools import chain, repeat
+from operator import add as _add, mul as _mul
 from typing import Sequence
 
 from .poly import Polynomial, Scalar, VarSet, _as_scalar, _cleared, _over
@@ -53,6 +55,12 @@ DEFAULT_BUDGET = 10**8
 
 class BudgetExceededError(RuntimeError):
     """The requested grid has more tuples than the evaluation budget."""
+
+
+def _check_budget(tuples: int, budget: int) -> None:
+    """Refuse a grid of ``tuples`` tuples when that is over ``budget``."""
+    if tuples > budget:
+        raise BudgetExceededError(f"grid has {tuples} tuples, over the budget of {budget}")
 
 
 def theoretical_exponent(r: int) -> Fraction:
@@ -103,28 +111,41 @@ def _column(pairs: Sequence[tuple[int, int]], powers: dict[int, list[int]], n: i
     return out
 
 
-def _integer_image(terms: dict[tuple[int, ...], int], powers: list[dict[int, list[int]]]) -> set[int]:
-    """Image of an integer polynomial over an integer grid.
-
-    ``terms`` has exponent tuples in sweep order, the outer variables first
-    and the innermost last, and ``powers[d][e]`` lists ``v ** e`` over the
-    set of variable d, for each exponent e > 0 of d in ``terms``.  Each residual in the innermost
-    variable splits into a constant and a nonconstant part; residuals are
-    grouped by that part, so a part shared by many prefixes is evaluated
-    over the innermost set only once.
-    """
-    *outer, inner = powers
-    groups: dict[tuple[tuple[int, int], ...], set[int]] = {}
-    if outer:
-        _residuals(terms, outer, 0, [set() for _ in outer], groups)
-    else:
-        groups[tuple(sorted((e, c) for (e,), c in terms.items() if e))] = {terms.get((0,), 0)}
-    n = len(next(iter(inner.values())))
+def _integer_image(
+    terms: dict[tuple[int, ...], int], outer: Sequence[Sequence[int]], inner: Sequence[int]
+) -> set[int]:
+    """Image of an integer polynomial over an integer grid (see the module
+    docstring).  ``terms`` has exponent tuples in sweep order, the outer
+    variables first and the innermost last; ``outer`` lists the distinct
+    values of each outer variable and ``inner`` those of the innermost."""
+    sizes = [len(values) for values in outer]
+    size = math.prod(sizes)
+    columns: dict[int, list[int]] = {}  # innermost exponent -> coefficient over the outer grid
+    for (*m, e_inner), c in terms.items():
+        column = [c] * size
+        for p, e in enumerate(m):
+            if e:
+                # v**e for each value v of outer[p] in itertools.product order:
+                # repeated once per point of the later variables, the whole
+                # run once per point of the earlier ones
+                run = chain.from_iterable(map(repeat, (v**e for v in outer[p]), repeat(math.prod(sizes[p + 1:]))))
+                column = list(map(_mul, column, list(run) * math.prod(sizes[:p])))
+        acc = columns.get(e_inner)
+        columns[e_inner] = column if acc is None else list(map(_add, acc, column))
+    consts = columns.pop(0, [0] * size)
+    exponents = sorted(columns)
+    groups: defaultdict[tuple[int, ...], set[int]] = defaultdict(set)
+    for key, const in zip(zip(*map(columns.__getitem__, exponents)), consts):
+        groups[key].add(const)
+    del columns, consts, column, acc  # an int per outer point, freed before the image grows
+    n = len(inner)
+    inner_powers = {e: [v**e for v in inner] for e in exponents}
     # Parts sharing one set of constants are merged first: the image is the
     # union, over distinct constant sets C, of C + (values of those parts).
     merged: dict[frozenset[int], set[int]] = {}
-    for part, consts in groups.items():
-        values = _column(part, inner, n) if part else (0,)
+    for key, consts in groups.items():
+        part = [(e, c) for e, c in zip(exponents, key) if c]
+        values = _column(part, inner_powers, n) if part else (0,)
         merged.setdefault(frozenset(consts), set()).update(values)
     out: set[int] = set()
     for consts, values in merged.items():
@@ -132,62 +153,6 @@ def _integer_image(terms: dict[tuple[int, ...], int], powers: list[dict[int, lis
         for c in few:
             out.update(map(c.__add__, many) if c else many)
     return out
-
-
-def _residuals(
-    terms: dict[tuple[int, ...], int],
-    powers: list[dict[int, list[int]]],
-    depth: int,
-    seen: list[set],
-    groups: dict[tuple[tuple[int, int], ...], set[int]],
-) -> None:
-    """Substitute every prefix of the outer variables from ``depth`` on and
-    record each residual, {nonconstant part: constants}, in ``groups``."""
-    if depth:
-        # a residual met before at this depth has its values recorded already
-        residual = frozenset(terms.items())
-        if residual in seen[depth]:
-            return
-        seen[depth].add(residual)
-    table = powers[depth]
-    n = len(next(iter(table.values())))
-    if depth == len(powers) - 1:
-        # Last outer variable: every coefficient of the residual is a column
-        # over its values.  Terms have exponent tuples (outer, innermost).
-        by_inner: dict[int, list[tuple[int, int]]] = {}
-        for (e, e_inner), c in terms.items():
-            by_inner.setdefault(e_inner, []).append((e, c))
-        consts = _column(by_inner.pop(0, ()), table, n)
-        part = sorted(by_inner.items())
-        if all(len(pairs) == 1 and not pairs[0][0] for _, pairs in part):
-            # the nonconstant part does not depend on this variable
-            key = tuple((e_inner, pairs[0][1]) for e_inner, pairs in part)
-            groups.setdefault(key, set()).update(consts)
-            return
-        columns = [(e_inner, _column(pairs, table, n)) for e_inner, pairs in part]
-        for j, const in enumerate(consts):
-            key = tuple((e_inner, col[j]) for e_inner, col in columns if col[j])
-            groups.setdefault(key, set()).add(const)
-        return
-    for j in range(n):
-        sub: dict[tuple[int, ...], int] = {}
-        for e, c in terms.items():
-            exp = e[0]
-            rest = e[1:]
-            if exp:
-                c *= table[exp][j]
-                if not c:
-                    continue
-            acc = sub.get(rest)
-            if acc is None:
-                sub[rest] = c
-            else:
-                total = acc + c
-                if total:
-                    sub[rest] = total
-                else:
-                    del sub[rest]
-        _residuals(sub, powers, depth + 1, seen, groups)
 
 
 def _cleared_grid(f: Polynomial, sets: Sequence[Sequence[Scalar]], budget: int) -> tuple[Polynomial, Sequence, int]:
@@ -203,8 +168,7 @@ def _cleared_grid(f: Polynomial, sets: Sequence[Sequence[Scalar]], budget: int) 
         if not s:
             raise ValueError("empty input set")
         size *= len(s)
-    if size > budget:
-        raise BudgetExceededError(f"grid has {size} tuples, over the budget of {budget}")
+    _check_budget(size, budget)
     if Fraction not in map(type, f.terms.values()) and not any(Fraction in map(type, s) for s in sets):
         return f, sets, 1
     degrees = [max((m[i] for m in f.terms), default=0) for i in range(k)]
@@ -234,18 +198,13 @@ def image_values(
     if not active:
         return set(f.terms.values()) if scale == 1 else {_over(c, scale) for c in f.terms.values()}
 
-    # Innermost: the lowest degree, then the fewest terms, then the lowest
-    # index; the other variables keep their order.
-    inner = min(active, key=lambda i: (degrees[i], sum(1 for m in f.terms if m[i]), i))
+    # Innermost: the most distinct values, then the lowest degree, then the
+    # fewest terms, then the lowest index; the others keep their order.
+    values = {i: list(dict.fromkeys(grids[i])) for i in active}
+    inner = min(active, key=lambda i: (-len(values[i]), degrees[i], sum(1 for m in f.terms if m[i]), i))
     order = [i for i in active if i != inner] + [inner]
     terms = {tuple(m[i] for i in order): c for m, c in f.terms.items()}
-    powers = []
-    for i in order:
-        values = dict.fromkeys(grids[i])
-        exponents = {m[i] for m in f.terms} - {0}
-        powers.append({e: [v**e for v in values] for e in exponents})
-
-    out = _integer_image(terms, powers)
+    out = _integer_image(terms, [values[i] for i in order[:-1]], values[inner])
     return out if scale == 1 else set(map(_over, out, repeat(scale)))
 
 
@@ -325,10 +284,14 @@ def expansion_report(
     ``lower_bound_respected`` flag checks the largest measurement against
     n^(theoretical - 0.25); the 0.25 slack absorbs the unspecified
     constant, so the flag is a sanity indicator, not a test of the bound.
+    Every size's grid of n^k tuples is checked against ``budget`` before
+    f is ranked or any set drawn.
     """
     if list(n_list) != sorted(set(n_list)) or not n_list:
         raise ValueError("n_list must be nonempty and strictly increasing")
     _check_fit_points(len(n_list))
+    for n in n_list:
+        _check_budget(n**f.vars.k, budget)
     report = rank(f, seed=seed)
     r = report.overall
     theo = theoretical_exponent(r)

@@ -52,7 +52,15 @@ from itertools import chain, combinations, permutations, repeat
 from operator import add, itemgetter, mul
 from typing import Sequence
 
-from .expansion import SetSpec, _set_seed, fit_exponent, generate_set, theoretical_exponent
+from .expansion import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    SetSpec,
+    _set_seed,
+    fit_exponent,
+    generate_set,
+    theoretical_exponent,
+)
 from .poly import Polynomial, Scalar, VarSet, _cleared, _over
 from .rank import PolyMatrix
 
@@ -267,12 +275,21 @@ class VolumeSet:
         }
 
 
+def _check_simplices(n: int, d: int) -> None:
+    """Refuse n parameters whose C(n, d+1) simplices are over the budget."""
+    count = math.comb(n, d + 1)
+    if count > DEFAULT_BUDGET:
+        raise BudgetExceededError(f"{n} parameters span {count} simplices, over the budget of {DEFAULT_BUDGET}")
+
+
 def distinct_volumes(parameters: Sequence[Scalar], d: int, signed: bool = False) -> VolumeSet:
     """Enumerate the volumes of all C(n, d+1) simplices spanned by curve
     points with the given distinct parameters.
 
     Default counts absolute (geometric) volumes; signed mode counts both
-    orientations, i.e. includes -v alongside every v.
+    orientations, i.e. includes -v alongside every v.  More than
+    ``DEFAULT_BUDGET`` simplices raise :class:`BudgetExceededError` before
+    any is enumerated.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -281,6 +298,7 @@ def distinct_volumes(parameters: Sequence[Scalar], d: int, signed: bool = False)
         raise ValueError("parameters must be distinct")
     if len(params) < d + 1:
         raise ValueError(f"need at least d+1 = {d + 1} parameters, got {len(params)}")
+    _check_simplices(len(params), d)
     points, scale = _cleared(sorted(params))  # sorted: differences are positive
     pairs = list(combinations(range(d + 1), 2))
     products = set()
@@ -304,9 +322,12 @@ def volume_expansion_report(
     signed: bool = False,
 ) -> dict:
     """Count distinct volumes for growing parameter sets and fit the
-    growth exponent against the theoretical (5d - 4) / (2d)."""
+    growth exponent against the theoretical (5d - 4) / (2d).  Every size
+    is checked against the simplex budget before the first count."""
     if list(n_list) != sorted(set(n_list)) or not n_list:
         raise ValueError("n_list must be nonempty and strictly increasing")
+    for n in n_list:
+        _check_simplices(n, d)
     rows = []
     for n in n_list:
         params = generate_set(SetSpec(kind=generator, n=n, seed=_set_seed(seed, 0)))

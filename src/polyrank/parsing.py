@@ -15,7 +15,7 @@ There is no general division operator: ``/`` only joins two integer
 literals into a rational literal, and ``^`` only accepts a nonnegative
 integer literal.  Implicit multiplication is a syntax error.  The
 canonical printer (``str(Polynomial)``) emits text this grammar accepts,
-so parse -> print -> parse is the identity.
+so parse -> print -> parse is the identity, for literals of any length.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import string
 from fractions import Fraction
 from operator import add
 
-from .poly import Exponents, Polynomial, Scalar, VarSet, _as_scalar
+from .poly import Exponents, Polynomial, Scalar, VarSet, _as_scalar, _from_decimal
 
 
 class ParseError(ValueError):
@@ -164,7 +164,7 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", at)
             self.advance()
-            n = int(text)
+            n = _from_decimal(text)
             if isinstance(p, Polynomial):
                 return p ** n
             return tuple(e * n for e in p[0]), p[1] ** n
@@ -173,7 +173,7 @@ class _Parser:
     def atom(self) -> tuple[Exponents, Scalar] | Polynomial:
         kind, text, at = self.advance()
         if kind == "int":
-            value: Scalar = int(text)
+            value: Scalar = _from_decimal(text)
             k, t, at2 = self.peek()
             if k == "op" and t == "/":
                 self.advance()
@@ -181,9 +181,10 @@ class _Parser:
                 if k != "int":
                     raise ParseError("expected an integer denominator", at3)
                 self.advance()
-                if int(t) == 0:
+                denominator = _from_decimal(t)
+                if denominator == 0:
                     raise ParseError("zero denominator in rational literal", at3)
-                value = Fraction(value, int(t))
+                value = Fraction(value, denominator)
             return (0,) * self.vars.k, value
         if kind == "name":
             exponents = self.monomials.get(text)

@@ -11,8 +11,7 @@ stored as plain ``int`` and general rationals as ``fractions.Fraction``;
 the two interoperate exactly and agree on equality and hashing, while the
 int fast path avoids a gcd normalization per ring operation.  The zero
 polynomial is the empty term map.  Polynomials are immutable values: every
-operation returns a fresh object and instances can be shared freely across
-workers.
+operation returns a fresh object.
 
 Term order is graded lexicographic with respect to the variable order of
 the owning :class:`VarSet` (total degree first, ties broken left to right).
@@ -311,12 +310,39 @@ def _kronecker_unpack(
     }
 
 
+#: Digits that one ``int``/``str`` conversion handles: below 640, the
+#: smallest nonzero limit ``sys.set_int_max_str_digits`` accepts, so no
+#: setting of that interpreter-wide limit can refuse one.
+_CHUNK_DIGITS = 512
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any length: a longer one is split by a
+    power of ten into halves that are printed on their own."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits: log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _from_decimal(digits: str) -> int:
+    """``int(digits)`` for a string of decimal digits of any length."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _from_decimal(digits[:-k]) * 10**k + _from_decimal(digits[-k:])
+
+
 class _Powers(dict):
     """One variable's printed powers by exponent, from ``{0: "", 1: name}``
     on; each higher one is spelled on first use."""
 
     def __missing__(self, e: int) -> str:
-        text = self[e] = f"{self[1]}^{e}"
+        text = self[e] = f"{self[1]}^{_decimal(e)}"
         return text
 
 
@@ -632,7 +658,8 @@ class Polynomial:
                 num, den = c.numerator, c.denominator * scale
                 g = gcd(num, den)
                 sign, num, den = " - " if num < 0 else " + ", abs(num) // g, den // g
-                text = shown[key] = (sign, f"{num}/{den}" if den != 1 else "" if num == 1 else str(num))
+                text = shown[key] = (sign, f"{_decimal(num)}/{_decimal(den)}" if den != 1
+                                      else "" if num == 1 else _decimal(num))
             sign, coeff = text
             body = "*".join(filter(None, map(power, powers, m)))
             pieces += (sign, f"{coeff}*{body}" if coeff and body else coeff or body or "1")

@@ -290,6 +290,40 @@ def test_memory_error_is_1(capsys, monkeypatch):
     assert err == "polyrank: error: out of memory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3", "--n", "10,20,2000000", "--sets", "random_int"),
+    ("incidence", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3", "--sets", "interval:2000000"),
+])
+def test_over_budget_grid_is_refused_before_any_set_is_drawn(capsys, monkeypatch, argv):
+    fail = lambda *args, **kwargs: pytest.fail("a set was drawn or f ranked")
+    for module in ("polyrank.cli", "polyrank.expansion"):
+        monkeypatch.setattr(importlib.import_module(module), "generate_set", fail)
+    monkeypatch.setattr(importlib.import_module("polyrank.expansion"), "rank", fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "polyrank: error: grid has 8000000000000000000 tuples, over the budget of 100000000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("moment", "--d", "5", "--n", "400", "--sets", "interval"),
+    ("moment", "--d", "3", "--points", ",".join(map(str, range(1, 3001)))),
+])
+def test_over_budget_simplex_count_is_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr(moment_module, "combinations", lambda *args: pytest.fail("enumerated"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("polyrank: error: ")
+    assert "simplices, over the budget of 100000000" in err
+
+
+def test_literal_past_the_int_str_digit_limit(capsys):
+    doc = run_json(capsys, "reduce", "--poly", "3^10000*x1*x2 + x3 + x4", "--vars", "x1,x2,x3,x4",
+                   "--pivot", "x1")
+    assert doc["certified_rank"] == 2
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("POLYRANK_BUDGET", "10")
     code, out, err = run_cli(capsys, "expand", "--poly", "x1+x2+x3", "--vars", "x1,x2,x3",

@@ -222,11 +222,30 @@ def image_cases(draw):
 @example((Polynomial(var_set(3), {(0, 0, 0): Fraction(7, 3)}), [[1], [2, 2], [Fraction(1, 5)]]))
 @example((Polynomial(var_set(3), {(0, 0, 0): Fraction(4, 2)}), [[1], [2], [3]]))
 @example((Polynomial(var_set(3), {(1, 0, 2): 1, (0, 1, 0): -1}), [[0, 0, 1], [-2, 5], [Fraction(1, 2), -1]]))
+# the largest set on a higher-index variable: x3 is innermost
+@example((Polynomial(var_set(3), {(1, 0, 2): 2, (0, 1, 1): -3, (1, 1, 0): 1}),
+          [[1, -2], [3, 0, 5], [-4, -1, 2, 6, Fraction(7, 2), 9]]))
+# x1 = 0 zeroes every coefficient of the innermost x3: the all-zero key
+@example((Polynomial(var_set(3), {(1, 0, 1): 1, (1, 0, 3): -2, (0, 2, 0): 1}),
+          [[0, 1, -1], [2, 5], [1, 2, 3, 4, 5, 6, 7]]))
+@example((Polynomial(var_set(1), {(2,): 1, (1,): -1, (0,): 3}), [[-1, 0, 1, 2, Fraction(1, 2)]]))
 def test_image_matches_reference_sweep(case):
     f, sets = case
     image = image_values(f, sets)
     assert image == reference_image(f, sets)
     assert canonical_types(image)
+
+
+def test_innermost_variable_has_the_most_values(monkeypatch):
+    import polyrank.expansion as expansion
+
+    sizes = []
+    real_column = expansion._column
+    monkeypatch.setattr(expansion, "_column", lambda pairs, powers, n: sizes.append(n) or real_column(pairs, powers, n))
+    f = P("x1*x2 + x3")
+    sets = [generate_set(SetSpec("random_int", n, seed=i)) for i, n in enumerate((2, 50, 50))]
+    assert image_values(f, sets) == reference_image(f, sets)
+    assert sizes and set(sizes) == {50}
 
 
 def test_rational_grid_value_types():
@@ -344,6 +363,18 @@ def test_expansion_report_refuses_two_sizes_before_any_work(monkeypatch):
         monkeypatch.setattr(expansion, name, lambda *args, name=name, **kwargs: pytest.fail(f"{name} was called"))
     with pytest.raises(ValueError, match=r"^exponent fit needs at least 3 data points$"):
         expansion_report(P("x1*x2 + x3"), "random_int", [40, 80])
+
+
+def test_expansion_report_refuses_an_over_budget_size_before_any_work(monkeypatch):
+    import polyrank.expansion as expansion
+
+    for name in ("rank", "generate_set", "image_size"):
+        monkeypatch.setattr(expansion, name, lambda *args, name=name, **kwargs: pytest.fail(f"{name} was called"))
+    # the first size over the budget is named: 500^3 > 10^8
+    with pytest.raises(BudgetExceededError, match=r"^grid has 125000000 tuples, over the budget of 100000000$"):
+        expansion_report(P("x1*x2 + x3"), "random_int", [10, 20, 500, 2_000_000])
+    with pytest.raises(BudgetExceededError, match=r"^grid has 8000 tuples, over the budget of 7999$"):
+        expansion_report(P("x1*x2 + x3"), "interval", [10, 20, 40], budget=7999)
 
 
 def test_expansion_report_serialization():

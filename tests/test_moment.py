@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyrank import (
+    BudgetExceededError,
     Polynomial,
     distinct_volumes,
     matrix_m,
@@ -384,6 +385,19 @@ def test_distinct_volumes_validation():
     for d in (0, -1):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             distinct_volumes([1, 2, 3], d)
+
+
+def test_simplex_budget_is_checked_before_any_enumeration(monkeypatch):
+    for name in ("combinations", "_cleared", "generate_set"):
+        monkeypatch.setattr(moment_module, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+    # C(400, 6) and C(3000, 4) simplices
+    with pytest.raises(BudgetExceededError, match=r"^400 parameters span 5478557838600 simplices, over the budget of 100000000$"):
+        distinct_volumes(range(400), 5)
+    with pytest.raises(BudgetExceededError, match=r"^3000 parameters span 3368254124250 simplices"):
+        distinct_volumes(range(1, 3001), 3)
+    # every size is checked before the first count
+    with pytest.raises(BudgetExceededError, match=r"^400 parameters span"):
+        volume_expansion_report([10, 20, 400], "interval", 5)
 
 
 def reference_volumes(parameters, d, signed):

@@ -688,6 +688,21 @@ def test_print_parse_roundtrip(p):
     assert parse(str(p), V3) == p
 
 
+def test_print_parse_roundtrip_past_the_int_str_digit_limit():
+    # Python limits int <-> str conversion to 4,300 digits by default
+    big = "9" * 5000
+    f = P(f"3^10000*x1*x2 - {big}/1{'0' * 4400}*x3 + 10^5000*x1 + {big}")
+    assert f.terms[(1, 1, 0)] == 3**10000
+    assert f.terms[(0, 0, 0)] == 10**5000 - 1
+    assert f.terms[(0, 0, 1)] == Fraction(-(10**5000 - 1), 10**4400)
+    text = str(f)
+    assert f"{big}/1{'0' * 4400}*x3" in text and f"1{'0' * 5000}*x1" in text
+    assert parse(text, V3) == f
+    assert str(parse(text, V3)) == text
+    assert P(f"x1^{big}").terms == {(10**5000 - 1, 0, 0): 1}
+    assert str(P(f"-x1^{big}")) == f"-x1^{big}"
+
+
 @settings(deadline=None)
 @given(st.one_of(polys, rational_polys))
 @example(Polynomial.zero(V3))
