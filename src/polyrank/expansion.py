@@ -6,10 +6,6 @@ hash by their canonical lowest-terms integer pair (the ``Fraction``
 contract, consistent with plain ``int``), so no collision can corrupt a
 count.
 
-The sweep runs in one process, in integers only.  Inserting values into
-the image set is most of its cost, and a process pool would only add work
-there: the parent would unpickle and re-insert every worker's set.
-
 With D_i the lcm of the denominators in A_i and c that of the
 coefficients, the sweep enumerates the integer grid
 D_1*A_1 x ... x D_k*A_k under F(y) = D * f(y_1/D_1, ..., y_k/D_k), where
@@ -17,18 +13,20 @@ D = c * prod D_i^deg_i(f) makes every coefficient of F an integer.
 Dividing by D is injective, so :func:`image_size` counts the values of F
 in integers; only :func:`image_values` divides each distinct value by D,
 once at the end.  No other module clears a grid.
-The innermost variable is the one with the most distinct values (then of
-lowest degree in f, then in the fewest terms, then of lowest index); a
-variable f does not contain drops out.  As a polynomial in the innermost
-variable, f has one coefficient per exponent, and each is evaluated as one
-column over the whole outer grid with C-level ``map`` over tiled power
-columns.  The outer points are grouped by their tuple of nonconstant
-coefficients, each group holding a set of constants.  Each distinct part
-is evaluated once over the innermost set, parts with equal constant sets
-are merged, and the constants are added from the smaller side.  The
-grouping loop runs in Python once per outer point, so the largest set
-goes innermost.  On intervals and geometric progressions, where images
-collapse, many outer points share a part.
+
+The sweep runs in one process and does not recurse.  The innermost
+variable is the one with the most distinct values (then of lowest degree
+in f, then in the fewest terms, then of lowest index); a variable f does
+not contain drops out.  The outer variables are substituted one at a
+time, with C-level ``map`` over tiled columns: a row holds the
+coefficients of f in the variables left, and rows an earlier prefix gave
+are dropped, so on intervals and geometric progressions, where partial
+sums repeat, few rows are left.  The last rows, coefficients of
+polynomials in the innermost variable, are grouped by their nonconstant
+part, each group holding a set of constants.  Each part is evaluated
+once over the innermost set, parts with equal constant sets are merged,
+and the constants are added from the smaller side.  On random sets few
+rows repeat, so the largest set goes innermost.
 
 Fitted growth exponents (least squares on log-log data) are compared to
 the theoretical exponent (5r - 4) / (2r) attached to a polynomial of rank
@@ -47,6 +45,7 @@ from itertools import chain, repeat
 from operator import add as _add, mul as _mul
 from typing import Sequence
 
+from .parsing import parse
 from .poly import Polynomial, Scalar, VarSet, _as_scalar, _cleared, _over
 from .rank import rank
 
@@ -111,33 +110,40 @@ def _column(pairs: Sequence[tuple[int, int]], powers: dict[int, list[int]], n: i
     return out
 
 
+def _groups(terms: dict[tuple[int, ...], int], outer: Sequence[Sequence[int]]) -> tuple[list[int], dict]:
+    """Substitute the outer variables of ``terms`` one at a time, and group
+    the rows left (see the module docstring) by their nonconstant
+    coefficients in the innermost variable.  Returns the innermost
+    exponents > 0, in key order, and {key: set of constants}."""
+    columns: dict[tuple[int, ...], Sequence[int]] = {m: (c,) for m, c in terms.items()}
+    for p, values in enumerate(outer):
+        if p:  # a row an earlier prefix gave adds no values
+            columns = dict(zip(columns, zip(*set(zip(*columns.values())))))
+        rest: dict[tuple[int, ...], list[int]] = {}
+        for (e, *m), column in columns.items():
+            # each row once per value of this variable, in that order
+            run = list(chain.from_iterable(map(repeat, column, repeat(len(values)))))
+            if e:
+                run = list(map(_mul, run, [v**e for v in values] * len(column)))
+            acc = rest.get(tuple(m))
+            rest[tuple(m)] = run if acc is None else list(map(_add, acc, run))
+        columns = rest
+    consts = columns.pop((0,), None) or [0] * len(next(iter(columns.values())))
+    exponents = sorted(e for (e,) in columns)
+    groups: defaultdict[tuple[int, ...], set[int]] = defaultdict(set)
+    for key, const in zip(zip(*(columns[e,] for e in exponents)), consts):
+        groups[key].add(const)
+    return exponents, groups
+
+
 def _integer_image(
     terms: dict[tuple[int, ...], int], outer: Sequence[Sequence[int]], inner: Sequence[int]
 ) -> set[int]:
-    """Image of an integer polynomial over an integer grid (see the module
-    docstring).  ``terms`` has exponent tuples in sweep order, the outer
-    variables first and the innermost last; ``outer`` lists the distinct
-    values of each outer variable and ``inner`` those of the innermost."""
-    sizes = [len(values) for values in outer]
-    size = math.prod(sizes)
-    columns: dict[int, list[int]] = {}  # innermost exponent -> coefficient over the outer grid
-    for (*m, e_inner), c in terms.items():
-        column = [c] * size
-        for p, e in enumerate(m):
-            if e:
-                # v**e for each value v of outer[p] in itertools.product order:
-                # repeated once per point of the later variables, the whole
-                # run once per point of the earlier ones
-                run = chain.from_iterable(map(repeat, (v**e for v in outer[p]), repeat(math.prod(sizes[p + 1:]))))
-                column = list(map(_mul, column, list(run) * math.prod(sizes[:p])))
-        acc = columns.get(e_inner)
-        columns[e_inner] = column if acc is None else list(map(_add, acc, column))
-    consts = columns.pop(0, [0] * size)
-    exponents = sorted(columns)
-    groups: defaultdict[tuple[int, ...], set[int]] = defaultdict(set)
-    for key, const in zip(zip(*map(columns.__getitem__, exponents)), consts):
-        groups[key].add(const)
-    del columns, consts, column, acc  # an int per outer point, freed before the image grows
+    """Image of an integer polynomial over an integer grid.  ``terms`` has
+    exponent tuples in sweep order, the outer variables first and the
+    innermost last; ``outer`` lists the distinct values of each outer
+    variable and ``inner`` those of the innermost."""
+    exponents, groups = _groups(terms, outer)  # its columns are freed before the image grows
     n = len(inner)
     inner_powers = {e: [v**e for v in inner] for e in exponents}
     # Parts sharing one set of constants are merged first: the image is the
@@ -163,12 +169,9 @@ def _cleared_grid(f: Polynomial, sets: Sequence[Sequence[Scalar]], budget: int) 
     k = f.vars.k
     if len(sets) != k:
         raise ValueError(f"need {k} sets, got {len(sets)}")
-    size = 1
-    for s in sets:
-        if not s:
-            raise ValueError("empty input set")
-        size *= len(s)
-    _check_budget(size, budget)
+    if not all(sets):
+        raise ValueError("empty input set")
+    _check_budget(math.prod(map(len, sets)), budget)
     if Fraction not in map(type, f.terms.values()) and not any(Fraction in map(type, s) for s in sets):
         return f, sets, 1
     degrees = [max((m[i] for m in f.terms), default=0) for i in range(k)]
@@ -327,30 +330,23 @@ def degenerate_demo(k: int, n: int, seed: int = 0, budget: int = DEFAULT_BUDGET)
     interval sets C_i = {1..n} has exactly the same image as
     g(x, y, z) = x*y + z over A, B and the sumset C_1 + ... + C_k =
     {k, ..., k*n}.  Both images are computed exhaustively and compared.
+    The grid of n^(k+2) tuples is checked against ``budget`` before any set
+    is drawn.
     """
     if k < 1:
         raise ValueError("need k >= 1 auxiliary variables")
     if n < 1:
         raise ValueError("need n >= 1")
-    names = ("x", "y") + tuple(f"z{i}" for i in range(1, k + 1))
-    vars_full = VarSet(names)
-    terms: dict[tuple[int, ...], int] = {}
-    xy = [0] * (k + 2)
-    xy[0] = xy[1] = 1
-    terms[tuple(xy)] = 1
-    for i in range(k):
-        z = [0] * (k + 2)
-        z[2 + i] = 1
-        terms[tuple(z)] = 1
-    f = Polynomial(vars_full, terms)
+    _check_budget(n ** (k + 2), budget)
+    zs = tuple(f"z{i}" for i in range(1, k + 1))
+    f = parse(" + ".join(("x*y",) + zs), VarSet(("x", "y") + zs))
 
     a = generate_set(SetSpec("random_int", n, seed=_set_seed(seed, 0)))
     b = generate_set(SetSpec("random_int", n, seed=_set_seed(seed, 1)))
     interval = generate_set(SetSpec("interval", n))
     full_image = image_values(f, [a, b] + [interval] * k, budget=budget)
 
-    vars_g = VarSet(("x", "y", "z"))
-    g = Polynomial(vars_g, {(1, 1, 0): 1, (0, 0, 1): 1})
+    g = parse("x*y + z", VarSet(("x", "y", "z")))
     sumset = tuple(range(k, k * n + 1))
     reduced_image = image_values(g, [a, b, sumset], budget=budget)
 

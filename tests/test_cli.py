@@ -293,6 +293,7 @@ def test_memory_error_is_1(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("expand", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3", "--n", "10,20,2000000", "--sets", "random_int"),
     ("incidence", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3", "--sets", "interval:2000000"),
+    ("expand", "--degenerate", "1", "--n", "2000000"),
 ])
 def test_over_budget_grid_is_refused_before_any_set_is_drawn(capsys, monkeypatch, argv):
     fail = lambda *args, **kwargs: pytest.fail("a set was drawn or f ranked")

@@ -248,6 +248,20 @@ def test_innermost_variable_has_the_most_values(monkeypatch):
     assert sizes and set(sizes) == {50}
 
 
+def test_repeated_rows_are_dropped_after_each_outer_variable(monkeypatch):
+    # x1*x2 + x3 + ... + x6 over {1..6}: x1 goes innermost and the outer
+    # grid has 6^5 points, but after each outer variable only the distinct
+    # rows (x2, partial sum) are kept, so fewer sums than points are formed
+    import polyrank.expansion as expansion
+
+    sums = []
+    monkeypatch.setattr(expansion, "_add", lambda a, b: sums.append(1) or a + b)
+    f = P("x1*x2 + x3 + x4 + x5 + x6", var_set(6))
+    sets = [generate_set(SetSpec("interval", 6))] * 6
+    assert image_values(f, sets) == reference_image(f, sets)
+    assert 0 < len(sums) < 6**5
+
+
 def test_rational_grid_value_types():
     # x1*x2 over {1/2, 2} x {2, 1/3}: 1 and 4 are integral, 1/6 and 2/3 not
     image = image_values(P("x1*x2", var_set(2)), [[Fraction(1, 2), 2], [2, Fraction(1, 3)]])
