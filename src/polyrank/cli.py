@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +31,7 @@ from .expansion import (
 from .incidence import build_instance, full_report
 from .moment import distinct_volumes, moment_summary, volume_expansion_report
 from .parsing import parse
-from .poly import VarSet
+from .poly import VarSet, _from_decimal
 from .rank import rank
 from .reduction import DEFAULT_MAX_ATTEMPTS, grid_reduce, reduce
 from .special import is_special
@@ -86,7 +87,7 @@ def _parse_sets(text: str, vars: VarSet, seed: int, budget: int | None = None) -
     or explicit '|'-separated value lists, one per variable.  A 'kind:n'
     grid over ``budget`` tuples is refused before any set is drawn."""
     if "|" in text or ":" not in text:
-        groups = [tuple(_parse_list(group, "--sets", Fraction, "rationals")) for group in text.split("|")]
+        groups = [tuple(_parse_list(group, "--sets", _rational, "rationals")) for group in text.split("|")]
         if len(groups) != vars.k:
             raise ValueError(f"need {vars.k} explicit sets separated by '|', got {len(groups)}")
         return [generate_set(SetSpec("explicit", len(values), params=values)) for values in groups]
@@ -100,6 +101,20 @@ def _parse_sets(text: str, vars: VarSet, seed: int, budget: int | None = None) -
     if budget is not None and n > 0:
         _check_budget(n**vars.k, budget)
     return [generate_set(SetSpec(kind, n, seed=_set_seed(seed, i))) for i in range(vars.k)]
+
+
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, with integers and ratios of digits of any length
+    read by :func:`_from_decimal`, past Python's int/str digit limit."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        return Fraction(text)
+    sign, numerator, denominator = match.groups()
+    value = Fraction(_from_decimal(numerator), _from_decimal(denominator or "1"))
+    return -value if sign == "-" else value
 
 
 def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
@@ -192,7 +207,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         _emit(moment_summary(args.d))
         return 0
     if args.points:
-        params = _parse_list(args.points, "--points", Fraction, "rationals")
+        params = _parse_list(args.points, "--points", _rational, "rationals")
         if len(set(params)) != len(params):
             raise ValueError(f"--points must be distinct rationals, got {args.points!r}")
         if len(params) <= args.d:

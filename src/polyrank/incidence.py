@@ -30,7 +30,7 @@ from itertools import product as iter_product
 from typing import Sequence
 
 from .expansion import DEFAULT_BUDGET, image_size
-from .poly import Polynomial, Scalar, _as_scalar, _ratio
+from .poly import Polynomial, Scalar, _as_scalar, _over
 from .rank import _rank_in_with_witness
 
 CoeffVector = tuple[Scalar, ...]
@@ -109,7 +109,7 @@ def build_instance(
         curve_mult[coeffs] = curve_mult.get(coeffs, 0) + 1
 
     if scale != 1:
-        curve_mult = {tuple(_ratio(c, scale) for c in curve): n for curve, n in curve_mult.items()}
+        curve_mult = {tuple(_over(c, scale) for c in curve): n for curve, n in curve_mult.items()}
     curves = tuple(sorted(curve_mult))
     multiplicities = tuple(curve_mult[c] for c in curves)
     # The curve of a suffix s is the graph of x -> f(x, s), and f(x, s) is in

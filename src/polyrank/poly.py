@@ -30,17 +30,19 @@ signed coefficients be read back byte by byte.  Otherwise a loop over the
 term pairs is cheaper.  Rational operands are cleared to integers over
 the lcm D of their denominators (:func:`_cleared`) and the product divided
 by D once at the end (:func:`_over`): the package's one int/Fraction
-boundary, which the image sweep and the moment-curve volume count use too.
+boundary, which exact division, the image sweep and the moment-curve volume
+count use too.
 
 Exact division (:func:`exact_div`, the inner step of fraction-free
-elimination) also has two kernels.  Dense operands are packed the same way
-and divided with one big-integer ``divmod``, behind a cost gate
-(``_DIV_GATE``, the module's one tuned constant) because CPython divides
-big integers in quadratic time.  Other divisions pack each monomial into
-one integer, total degree in the top field and then x1 ... xk, so that
-integer order is graded-lex order; the remainder's leading term comes off a
-lazy max-heap of packed keys, and a guard bit per field decides
-divisibility by the divisor's leading term with one subtraction.
+elimination) has two integer kernels, both given a primitive divisor.
+Dense operands are packed the same way and divided with one big-integer
+``divmod``, behind a cost gate (``_DIV_GATE``, the module's one tuned
+constant) because CPython divides big integers in quadratic time.  Other
+divisions pack each monomial into one integer, total degree in the top
+field and then x1 ... xk, so that integer order is graded-lex order; the
+remainder's leading term comes off a lazy max-heap of packed keys, and a
+guard bit per field decides divisibility by the divisor's leading term with
+one subtraction.
 """
 
 from __future__ import annotations
@@ -143,11 +145,6 @@ def _residue(value: Scalar, modulus: int) -> int:
     return value.numerator * _inverse(value.denominator, modulus) % modulus
 
 
-def _ratio(numerator: Scalar, denominator: Scalar) -> Scalar:
-    """Exact scalar quotient (never a float)."""
-    return _as_scalar(Fraction(numerator) / denominator)
-
-
 def _cleared(values: Collection[Scalar]) -> tuple[list[int], int]:
     """``(n, D)`` with ``values[i] == n[i] / D``, D the lcm of the
     denominators: the one way rationals enter integer arithmetic."""
@@ -155,9 +152,10 @@ def _cleared(values: Collection[Scalar]) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _over(numerator: int, scale: int) -> Scalar:
+def _over(numerator: Scalar, scale: int) -> Scalar:
     """The canonical scalar ``numerator / scale``: int when ``scale``
-    divides ``numerator``, a Fraction in lowest terms otherwise."""
+    divides ``numerator``, a Fraction in lowest terms otherwise; a Fraction
+    ``numerator`` (a coordinate of a rational grid) is read the same way."""
     q, r = divmod(numerator, scale)
     return Fraction(numerator, scale) if r else q
 
@@ -705,10 +703,14 @@ _DIV_GATE = 400
 def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
     """Exact polynomial quotient ``p / divisor``; raises if not divisible.
 
+    The operands are cleared to integers P and D (:func:`_integral`) and D
+    is divided by its content c to a primitive D0.  By Gauss's lemma, D0
+    divides P in Q[x] only with a quotient q in Z[x], so both kernels divide
+    integers and a remainder at any step proves the division inexact.
     Dense operands that pass ``_DIV_GATE`` take one ``divmod`` of their
     Kronecker packings (:func:`_div_dense`); other divisions, and quotients
     the packing cannot prove, take leading-term division
-    (:func:`_div_heap`).  Both give the same canonical quotient.
+    (:func:`_div_heap`).  The quotient is q * d_scale / (p_scale * c).
     """
     if divisor.vars != p.vars:
         raise ValueError("operands must share a variable set")
@@ -716,40 +718,36 @@ def exact_div(p: Polynomial, divisor: Polynomial) -> Polynomial:
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero:
         return p
-    quotient = _div_dense(p._terms, divisor._terms)
-    if quotient is None:
-        quotient = _div_heap(p._terms, divisor._terms)
+    a, p_scale = _integral(p._terms)
+    b, d_scale = _integral(divisor._terms)
+    content = gcd(*b.values())
+    if content != 1:
+        b = {m: c // content for m, c in b.items()}
+    quotient = _div_dense(a, b) or _div_heap(a, b)
+    scale = p_scale * content
+    if scale != 1 or d_scale != 1:
+        quotient = {m: _over(c * d_scale, scale) for m, c in quotient.items()}
     return Polynomial._raw(p.vars, quotient)
 
 
-def _div_dense(
-    p: dict[Exponents, Scalar], divisor: dict[Exponents, Scalar]
-) -> dict[Exponents, Scalar] | None:
-    """Quotient term map by Kronecker substitution, or None for the heap.
+def _div_dense(a: dict[Exponents, int], b: dict[Exponents, int]) -> dict[Exponents, int] | None:
+    """Integer quotient term map by Kronecker substitution, or None for the
+    heap; ``b`` is primitive (see :func:`exact_div`).
 
-    The operands are cleared to integers P and D (:func:`_integral`), D is
-    divided by its content c to a primitive D0, and both are packed over
-    the box of P with slots wide enough for ``|D0| * max|P|``.
-    Packing is a ring homomorphism and, by Gauss's lemma, D0 divides P in
-    Q[x] exactly when it does in Z[x], so a nonzero remainder of the
-    ``divmod`` proves the division inexact.  The unpacked quotient q is
-    kept only when ``deg_i(q) + deg_i(D0) <= deg_i(P)`` and ``min(|q|,
-    |D0|) * max|q| * max|D0|`` is below half a slot: then q * D0 and P lie
-    in the box with equal packings, and balanced digits are unique, so q *
-    D0 = P.  The quotient is q * d_scale / (p_scale * c).
+    Both operands are packed over the box of a with slots wide enough for
+    ``|b| * max|a|``.  Packing is a ring homomorphism and b divides a in
+    Z[x] whenever it does in Q[x], so a nonzero remainder of the ``divmod``
+    proves the division inexact.  The unpacked quotient q is kept only when
+    ``deg_i(q) + deg_i(b) <= deg_i(a)`` and ``min(|q|, |b|) * max|q| *
+    max|b|`` is below half a slot: then q * b and a lie in the box with
+    equal packings, and balanced digits are unique, so q * b = a.
     """
-    a, a_scale = _integral(p)
-    b, b_scale = _integral(divisor)
     if not _is_dense(a, b):
         return None
     a_deg = list(map(max, zip(*a)))
     b_deg = list(map(max, zip(*b)))
     if any(map(gt, b_deg, a_deg)):
         return None
-    content = gcd(*b.values())
-    if content != 1:
-        b = {m: c // content for m, c in b.items()}
-    b_max = max(map(abs, b.values()))
     width = _slot_width(len(b) * max(map(abs, a.values())))
     radices, strides, slots = _box(a_deg)
     span = sum(map(_mul, b_deg, strides)) + 1
@@ -763,21 +761,16 @@ def _div_dense(
         quotient = _kronecker_unpack(packed, radices, slots, width)
     except OverflowError:
         return None
-    bound = min(len(quotient), len(b)) * max(map(abs, quotient.values())) * b_max
+    bound = min(len(quotient), len(b)) * max(map(abs, quotient.values())) * max(map(abs, b.values()))
     q_deg = map(max, zip(*quotient))
     if bound.bit_length() >= 8 * width or any(map(gt, map(_add, q_deg, b_deg), a_deg)):
         return None
-    scale = a_scale * content
-    if scale != 1 or b_scale != 1:
-        for m, c in quotient.items():
-            quotient[m] = _over(c * b_scale, scale)
-    return quotient  # type: ignore[return-value]
+    return quotient
 
 
-def _div_heap(
-    p: dict[Exponents, Scalar], divisor: dict[Exponents, Scalar]
-) -> dict[Exponents, Scalar]:
-    """Quotient term map by leading-term division; raises if not divisible.
+def _div_heap(p: dict[Exponents, int], divisor: dict[Exponents, int]) -> dict[Exponents, int]:
+    """Integer quotient term map by leading-term division, ``divisor``
+    primitive (see :func:`exact_div`); raises if not divisible.
 
     Leading-term division under the graded-lex order: whenever p is a true
     multiple of the divisor the leading term of the remainder stays divisible,
@@ -797,8 +790,9 @@ def _div_heap(
     Quotient terms come out in decreasing order, and an exact quotient q has
     ``trail(q) * trail(divisor) == trail(p)`` (trail: the least term), so a
     quotient key below ``key(trail(p)) - key(trail(divisor))`` proves the
-    division inexact.  That stops ``x1^n / (2*x1 + 3)`` at its first step
-    instead of after n quotient terms.
+    division inexact, as does a quotient coefficient with a remainder (an
+    exact quotient is integral).  So ``x1^n / (2*x1 + 3)`` stops at its
+    first step instead of after n quotient terms.
     """
     k = len(next(iter(p)))
     # Every remainder term has total degree <= deg(p), and so has every
@@ -816,13 +810,12 @@ def _div_heap(
     div_items = sorted(((pack(m), c) for m, c in divisor.items()), reverse=True)
     kd, cd = div_items[0]
     tail = div_items[1:]
-    int_lead = type(cd) is int
     rem = {pack(m): c for m, c in p.items()}
     least = min(rem) - div_items[-1][0]
     heap = [-key for key in rem]
     heapify(heap)
     get = rem.get
-    quotient: list[tuple[int, Scalar]] = []
+    quotient: list[tuple[int, int]] = []
     while heap:
         kr = -heappop(heap)
         cr = get(kr)
@@ -832,10 +825,9 @@ def _div_heap(
         if kq & guard != guard or kq ^ guard < least:
             raise ValueError("inexact polynomial division")
         kq ^= guard
-        if int_lead and type(cr) is int and not cr % cd:
-            cq = cr // cd
-        else:
-            cq = _ratio(cr, cd)
+        cq, r = divmod(cr, cd)
+        if r:
+            raise ValueError("inexact polynomial division")
         quotient.append((kq, cq))
         del rem[kr]
         for kt, ct in tail:

@@ -10,6 +10,7 @@ import pytest
 
 from polyrank import VarSet, bound_ratios, build_instance, parse
 from polyrank import moment as moment_module
+from polyrank.incidence import full_report
 from polyrank.cli import main
 
 
@@ -323,6 +324,18 @@ def test_literal_past_the_int_str_digit_limit(capsys):
     doc = run_json(capsys, "reduce", "--poly", "3^10000*x1*x2 + x3 + x4", "--vars", "x1,x2,x3,x4",
                    "--pivot", "x1")
     assert doc["certified_rank"] == 2
+
+
+def test_points_past_the_int_str_digit_limit(capsys):
+    doc = run_json(capsys, "moment", "--d", "1", "--points", "1," + "9" * 5000)
+    assert doc["count"] == 1
+
+
+def test_sets_past_the_int_str_digit_limit(capsys):
+    doc = run_json(capsys, "incidence", "--poly", "x1*x2 + x3", "--vars", "x1,x2,x3",
+                   "--sets", "1,2|3," + "9" * 5000 + "|5")
+    inst = build_instance(parse("x1*x2 + x3", VarSet.of("x1", "x2", "x3")), [[1, 2], [3, 10**5000 - 1], [5]])
+    assert doc == {"spec_version": "1", **json.loads(json.dumps(full_report(inst)))}
 
 
 def test_budget_env_override(capsys, monkeypatch):

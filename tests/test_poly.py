@@ -19,7 +19,7 @@ from polyrank import (
     project,
 )
 from polyrank import poly
-from polyrank.poly import _as_scalar, _ratio
+from polyrank.poly import _as_scalar
 from gens import (
     canonical_types,
     constant_term,
@@ -258,17 +258,37 @@ def test_exact_div():
         exact_div(f, P("0"))
 
 
+def _spy_on_quotient_steps(monkeypatch):
+    """The coefficient divisions of the heap's quotient steps, recorded as
+    they are made (the heap divides each leading coefficient by ``divmod``)."""
+    steps = []
+    monkeypatch.setattr(poly, "divmod", lambda a, b: steps.append((a, b)) or divmod(a, b), raising=False)
+    return steps
+
+
 def test_exact_div_rejects_at_the_trailing_term(monkeypatch):
     # walking down the quotient x1^(2^16-1)/2 - 3*x1^(2^16-2)/4 + ... would
     # take 2^16 steps, each dividing a coefficient by 2; the trailing terms
     # x1^(2^16) and 3 prove the division inexact before the first one
     V1 = var_set(1)
     p, d = P(f"x1^{2**16}", V1), P("2*x1 + 3", V1)
-    steps = []
-    monkeypatch.setattr(poly, "_ratio", lambda *args: steps.append(args) or _ratio(*args))
+    steps = _spy_on_quotient_steps(monkeypatch)
     with pytest.raises(ValueError, match="inexact"):
         exact_div(p, d)
     assert steps == []
+
+
+def test_exact_div_rejects_at_the_first_inexact_coefficient(monkeypatch):
+    # the trailing terms x2 and 3*x2 pass the trailing-term bound, but the
+    # divisor is primitive and its leading 2 does not divide the leading 1:
+    # the quotient x1^39/2 - 3*x1^38/4 + ... is not integral, so the first
+    # quotient step proves the division inexact before a second is formed
+    V2 = var_set(2)
+    p, d = P("x1^40*x2 + x2", V2), P("2*x1*x2 + 3*x2", V2)
+    steps = _spy_on_quotient_steps(monkeypatch)
+    with pytest.raises(ValueError, match="inexact"):
+        exact_div(p, d)
+    assert steps == [(1, 2)]
 
 
 def _reference_exact_div(p, divisor):
@@ -283,7 +303,7 @@ def _reference_exact_div(p, divisor):
         mq = tuple(a - b for a, b in zip(mr, md))
         if any(e < 0 for e in mq):
             raise ValueError("inexact polynomial division")
-        cq = _ratio(cr, cd)
+        cq = _as_scalar(Fraction(cr) / cd)
         quotient[mq] = quotient.get(mq, 0) + cq
         for m2, c2 in divisor.terms.items():
             key = tuple(a + b for a, b in zip(mq, m2))
@@ -322,10 +342,13 @@ def division_cases(draw, max_exponent=2**20):
 
 @settings(deadline=None, max_examples=150)
 @given(division_cases())
+# sparse divisors for the heap: one of content 3, one rational
+@example((P("x1^5*x2 - 2/3*x2^3 + 7", var_set(2)), P("3*x1^7 - 6*x2^2 + 9*x1", var_set(2))))
+@example((P("x1^5*x2 - 2/3*x2^3 + 7", var_set(2)), P("1/2*x1^7 - 4/3*x2^2", var_set(2))))
 def test_exact_div_matches_reference(case):
     p, d = case
-    # products store integral values as int, so an int coefficient of n
-    # over a Fraction p reaches the int-by-int inexact coefficient path
+    # products store integral values as int, so n may mix int and Fraction
+    # coefficients and still clear to the same integer map
     n = p * d
     got = exact_div(n, d)
     assert got == p
@@ -381,6 +404,23 @@ def dense_division_cases(draw):
     return p, d * (-scale if lead > 0 else scale)
 
 
+class _HeapRefused(Exception):
+    pass
+
+
+def _dense_kernel_div(n, d):
+    """The term map of ``exact_div(n, d)`` with the gate lifted and the heap
+    refused, or None where the Kronecker kernel hands the division on."""
+    def refuse(*args):
+        raise _HeapRefused
+
+    with mock.patch.object(poly, "_DIV_GATE", 10**9), mock.patch.object(poly, "_div_heap", refuse):
+        try:
+            return exact_div(n, d).terms
+        except _HeapRefused:
+            return None
+
+
 @settings(deadline=None, max_examples=150)
 @given(dense_division_cases())
 def test_dense_exact_div_matches_reference(case):
@@ -389,8 +429,7 @@ def test_dense_exact_div_matches_reference(case):
     expected = _typed(_reference_exact_div(n, d))
     assert _typed(exact_div(n, d).terms) == expected
     # with the gate lifted, the kernel runs on every dense case
-    with mock.patch.object(poly, "_DIV_GATE", 10**9):
-        quotient = poly._div_dense(n.terms, d.terms)
+    quotient = _dense_kernel_div(n, d)
     assert quotient is None or _typed(quotient) == expected
 
 
@@ -404,8 +443,8 @@ def test_dense_div_rejects_by_the_remainder(case, data):
     m = tuple(data.draw(st.integers(0, e)) for e in map(max, zip(*n.terms)))
     n = n + Polynomial(n.vars, {m: 1 if n.terms.get(m) != -1 else 2})
     assume(poly._is_dense(n.terms, d.terms))
-    with mock.patch.object(poly, "_DIV_GATE", 10**9), pytest.raises(ValueError, match="inexact"):
-        poly._div_dense(n.terms, d.terms)
+    with pytest.raises(ValueError, match="inexact"):
+        _dense_kernel_div(n, d)
     with pytest.raises(ValueError, match="inexact"):
         exact_div(n, d)
 
@@ -437,7 +476,7 @@ def test_div_coefficients_at_the_slot_bound(bits):
         for d in (d0, -3 * d0):
             assert poly._is_dense(n.terms, d.terms)
             expected = _typed(_reference_exact_div(n, d))
-            assert _typed(poly._div_dense(n.terms, d.terms)) == expected
+            assert _typed(_dense_kernel_div(n, d)) == expected
             assert _typed(exact_div(n, d).terms) == expected
 
 
