@@ -31,7 +31,7 @@ from .expansion import (
 from .incidence import build_instance, full_report
 from .moment import distinct_volumes, moment_summary, volume_expansion_report
 from .parsing import parse
-from .poly import VarSet, _from_decimal
+from .poly import _CHUNK, VarSet, _decimal, _from_decimal
 from .rank import rank
 from .reduction import DEFAULT_MAX_ATTEMPTS, grid_reduce, reduce
 from .special import is_special
@@ -138,9 +138,25 @@ def _parse_sizes(text: str, smallest: int, fewest: int) -> list[int]:
 
 
 def _emit(document: dict) -> None:
-    payload = {"spec_version": SPEC_VERSION}
-    payload.update(document)
-    sys.stdout.write(json.dumps(payload) + "\n")
+    """Print ``document`` as one JSON line.  Each int of over 512 digits is
+    dumped as a placeholder string "\\0<i>" and its digits (:func:`_decimal`)
+    are spliced in: ``json.dumps`` stops at the int/str digit limit."""
+    long_ints: list[int] = []
+
+    def dumpable(value: object) -> object:
+        if isinstance(value, dict):
+            return {key: dumpable(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return list(map(dumpable, value))
+        if isinstance(value, int) and not -_CHUNK < value < _CHUNK:
+            long_ints.append(value)
+            return f"\0{len(long_ints) - 1}"
+        return value
+
+    text = json.dumps(dumpable({"spec_version": SPEC_VERSION, **document}))
+    for i, n in enumerate(long_ints):
+        text = text.replace(f'"\\u0000{i}"', _decimal(n), 1)
+    sys.stdout.write(text + "\n")
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:

@@ -61,7 +61,7 @@ from .expansion import (
     generate_set,
     theoretical_exponent,
 )
-from .poly import Polynomial, Scalar, VarSet, _cleared, _over
+from .poly import Polynomial, Scalar, VarSet, _cleared, _collect, _over
 from .rank import PolyMatrix
 
 
@@ -163,13 +163,10 @@ def _det_m_certificate(m: PolyMatrix) -> int:
     d, vars = m.rows, m.vars
     for i in range(d):
         for j in range(d):
-            entry: dict[tuple[int, ...], int] = {}
-            for power in range(d):
-                for mono, c in m.entries[power][j].terms.items():
-                    key = mono[:i] + (mono[i] + power,) + mono[i + 1:]
-                    entry[key] = entry.get(key, 0) + c
+            entry = _collect((mono[:i] + (mono[i] + power,) + mono[i + 1:], c)
+                             for power in range(d) for mono, c in m.entries[power][j].terms.items())
             expected = _root_product_terms(vars.k, j, [k for k in range(d) if k != j], -1) if i == j else {}
-            if {key: c for key, c in entry.items() if c} != expected:
+            if entry != expected:
                 raise AssertionError(f"(W*M)[{i}][{j}] is not -prod_(k != {j})(x_{i + 1} - x_k) for d={d}")
     return (-1) ** (d * (d + 1) // 2)
 
@@ -200,13 +197,8 @@ def _factorization_certificate(v_next: Polynomial, v_d: Polynomial) -> bool:
     top = {key: c for key, e, c in zip(keys, tops, coeffs) if e == d}
     if top != {sum(map(mul, mono, digits)) + d * digits[d]: c for mono, c in v_d.terms.items()}:
         return False
-    for k in range(d):
-        sums: dict[int, Scalar] = {}
-        for key, c in zip(map(add, keys, map(mul, tops, repeat(digits[k] - digits[d]))), coeffs):
-            sums[key] = sums.get(key, 0) + c
-        if any(sums.values()):
-            return False
-    return True
+    return not any(_collect(zip(map(add, keys, map(mul, tops, repeat(digits[k] - digits[d]))), coeffs))
+                   for k in range(d))
 
 
 def _is_root_product(s: Sequence[Polynomial]) -> bool:

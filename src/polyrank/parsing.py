@@ -24,7 +24,7 @@ import string
 from fractions import Fraction
 from operator import add
 
-from .poly import Exponents, Polynomial, Scalar, VarSet, _as_scalar, _from_decimal
+from .poly import Exponents, Polynomial, Scalar, VarSet, _collect, _from_decimal
 
 
 class ParseError(ValueError):
@@ -126,11 +126,11 @@ class _Parser:
         terms: dict[Exponents, Scalar] = {}
         while True:
             value = self.term()
-            for m, c in value.terms.items() if isinstance(value, Polynomial) else (value,):
-                terms[m] = terms.get(m, 0) - c if negate else terms.get(m, 0) + c
+            pairs = value.terms.items() if isinstance(value, Polynomial) else (value,)
+            _collect(((m, -c) for m, c in pairs) if negate else pairs, terms)
             kind, text, _ = self.peek()
             if kind != "op" or text not in "+-":
-                return Polynomial._raw(self.vars, {m: _as_scalar(c) for m, c in terms.items() if c})
+                return Polynomial._raw(self.vars, terms)
             negate = text == "-"
             self.advance()
 

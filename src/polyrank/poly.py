@@ -13,6 +13,11 @@ int fast path avoids a gcd normalization per ring operation.  The zero
 polynomial is the empty term map.  Polynomials are immutable values: every
 operation returns a fresh object.
 
+One rule keeps term maps canonical: no zero coefficient is kept, and an
+integral value is stored as ``int``.  :func:`_collect` applies it, and is
+the one loop that sums into a term map, apart from the integer product
+kernel.
+
 Term order is graded lexicographic with respect to the variable order of
 the owning :class:`VarSet` (total degree first, ties broken left to right).
 The canonical printer emits terms in descending graded-lex order, which
@@ -56,11 +61,12 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product as _cartesian
 from math import gcd, lcm
-from operator import add as _add, gt, mul as _mul
-from typing import Collection, Iterable, Iterator, Mapping, Sequence, Union
+from operator import add as _add, gt, mul as _mul, neg
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
+_Key = TypeVar("_Key")
 
 #: Degree reported for the zero polynomial.  Using -inf instead of -1 keeps
 #: ``degree + 1`` from silently producing a plausible-looking length.
@@ -126,6 +132,25 @@ def _as_scalar(value: Scalar) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def _collect(pairs: Iterable[tuple[_Key, Scalar]], out: dict[_Key, Scalar] | None = None) -> dict[_Key, Scalar]:
+    """Add each ``(m, c)`` of ``pairs`` into the term map ``out`` (a new
+    dict by default) and return it.  A sum that cancels drops its key, so a
+    zero ``c`` on a key that is not there leaves none, and an integral
+    Fraction sum is stored as ``int``."""
+    if out is None:
+        out = {}
+    get, pop = out.get, out.pop
+    for m, c in pairs:
+        s = get(m, 0) + c
+        if not s:
+            pop(m, None)
+        elif s.__class__ is int or s.denominator != 1:
+            out[m] = s
+        else:
+            out[m] = s.numerator
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -353,28 +378,17 @@ def _power_tables(names: tuple[str, ...]) -> list[_Powers]:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("vars", "_terms", "_hash")
+    __slots__ = ("vars", "_terms")
 
     def __init__(self, vars: VarSet, terms: Mapping[Exponents, Scalar]):
-        clean: dict[Exponents, Scalar] = {}
-        k = vars.k
-        for exponents, coeff in terms.items():
-            exponents = tuple(exponents)
-            if len(exponents) != k:
-                raise ValueError(f"exponent vector {exponents} has length {len(exponents)}, expected {k}")
+        keys = list(map(tuple, terms))
+        for exponents in keys:
+            if len(exponents) != vars.k:
+                raise ValueError(f"exponent vector {exponents} has length {len(exponents)}, expected {vars.k}")
             if any(e < 0 or not isinstance(e, int) for e in exponents):
                 raise ValueError(f"exponents must be nonnegative integers, got {exponents}")
-            coeff = _as_scalar(coeff)
-            if coeff:
-                acc = clean.get(exponents)
-                total = coeff if acc is None else acc + coeff
-                if total:
-                    clean[exponents] = total
-                else:
-                    del clean[exponents]
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_terms", _collect(zip(keys, map(_as_scalar, terms.values()))))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial instances are immutable")
@@ -389,7 +403,6 @@ class Polynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -444,16 +457,7 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in q._terms.items():
-            s = out.get(m, 0) + c
-            if not s:
-                del out[m]
-            elif s.__class__ is int or s.denominator != 1:
-                out[m] = s
-            else:
-                out[m] = s.numerator
-        return Polynomial._raw(self.vars, out)
+        return Polynomial._raw(self.vars, _collect(q._terms.items(), dict(self._terms)))
 
     __radd__ = __add__
 
@@ -464,26 +468,14 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self._minus(q)
+        negated = zip(q._terms, map(neg, q._terms.values()))
+        return Polynomial._raw(self.vars, _collect(negated, dict(self._terms)))
 
     def __rsub__(self, other: object) -> "Polynomial":
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return q._minus(self)
-
-    def _minus(self, q: "Polynomial") -> "Polynomial":
-        """``self - q`` without building ``-q`` (the loop of __add__)."""
-        out = dict(self._terms)
-        for m, c in q._terms.items():
-            s = out.get(m, 0) - c
-            if not s:
-                del out[m]
-            elif s.__class__ is int or s.denominator != 1:
-                out[m] = s
-            else:
-                out[m] = s.numerator
-        return Polynomial._raw(self.vars, out)
+        return q - self
 
     def __mul__(self, other: object) -> "Polynomial":
         """Product of two polynomials, by one of two exact kernels.
@@ -594,24 +586,15 @@ class Polynomial:
         positions = {self.vars.index(name): _as_scalar(v) for name, v in bindings.items()}
         if not positions:
             return self
-        out: dict[Exponents, Scalar] = {}
+        bound: list[tuple[Exponents, Scalar]] = []
         for m, c in self._terms.items():
             e = list(m)
             for i, val in positions.items():
                 if e[i]:
-                    c = c * val ** e[i]
+                    c *= val ** e[i]
                     e[i] = 0
-            if not c:
-                continue
-            key = tuple(e)
-            s = out.get(key, 0) + c
-            if not s:
-                del out[key]
-            elif s.__class__ is int or s.denominator != 1:
-                out[key] = s
-            else:
-                out[key] = s.numerator
-        return Polynomial._raw(self.vars, out)
+            bound.append((tuple(e), c))
+        return Polynomial._raw(self.vars, _collect(bound))
 
     # -- comparison and hashing --------------------------------------------
 
@@ -623,11 +606,7 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.vars, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.vars, frozenset(self._terms.items())))
 
     # -- printing ------------------------------------------------------------
 

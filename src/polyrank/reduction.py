@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterable, Mapping, Sequence
 
-from .poly import Polynomial, Scalar, _as_scalar, project
+from .poly import Polynomial, Scalar, _as_scalar, _decimal, project
 from .rank import _rank_in_with_witness, rank_in, sample_point
 
 DEFAULT_MAX_ATTEMPTS = 64
@@ -50,7 +50,9 @@ class ReductionResult:
 
 
 def _rational_json(value: Scalar) -> int | str:
-    return value if isinstance(value, int) else str(value)  # canonical: a Fraction is never integral
+    """An int stays a JSON number; a Fraction, never integral, becomes the
+    string "p/q", its digits written by :func:`_decimal` at any length."""
+    return value if isinstance(value, int) else f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def _prepare(f: Polynomial, v: str) -> tuple[int, tuple[str, ...], tuple[str, ...]]:

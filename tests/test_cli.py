@@ -12,6 +12,7 @@ from polyrank import VarSet, bound_ratios, build_instance, parse
 from polyrank import moment as moment_module
 from polyrank.incidence import full_report
 from polyrank.cli import main
+from polyrank.poly import _from_decimal
 
 
 def run_cli(capsys, *argv):
@@ -336,6 +337,17 @@ def test_sets_past_the_int_str_digit_limit(capsys):
                    "--sets", "1,2|3," + "9" * 5000 + "|5")
     inst = build_instance(parse("x1*x2 + x3", VarSet.of("x1", "x2", "x3")), [[1, 2], [3, 10**5000 - 1], [5]])
     assert doc == {"spec_version": "1", **json.loads(json.dumps(full_report(inst)))}
+
+
+def test_fixed_values_past_the_int_str_digit_limit(capsys):
+    # the reduction fixes x4 to the one value of its set, an int or a ratio
+    # too long for json.dumps, which the output still writes in full
+    nines = "9" * 5000
+    for value, expected in ((nines, 10**5000 - 1), ("1/" + nines, "1/" + nines)):
+        code, out, err = run_cli(capsys, "reduce", "--poly", "x1*x2 + x3 + x4", "--vars", "x1,x2,x3,x4",
+                                 "--pivot", "x1", "--sets", "1,2|3,4|5,6|" + value)
+        assert code == 0, err
+        assert json.loads(out, parse_int=_from_decimal)["fixed"]["x4"] == expected
 
 
 def test_budget_env_override(capsys, monkeypatch):

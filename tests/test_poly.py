@@ -19,7 +19,7 @@ from polyrank import (
     project,
 )
 from polyrank import poly
-from polyrank.poly import _as_scalar
+from polyrank.poly import _as_scalar, _collect
 from gens import (
     canonical_types,
     constant_term,
@@ -141,6 +141,19 @@ def test_additive_identity():
 def test_trinomial_square_has_six_terms():
     # (x1+x2+x3)^2 = x1^2+x2^2+x3^2 + 2x1x2 + 2x1x3 + 2x2x3
     assert len(P("(x1+x2+x3)^2").terms) == 6
+
+
+def test_collect_keeps_term_maps_canonical():
+    # a sum that cancels drops its key, and so does a zero on an absent key
+    assert _collect([((1, 0), 3), ((0, 1), 2), ((1, 0), -3), ((0, 0), 0)]) == {(0, 1): 2}
+    # an integral Fraction sum is stored as int
+    half = Fraction(1, 2)
+    one = _collect([((1, 1), half), ((1, 1), half)])[(1, 1)]
+    assert one == 1 and type(one) is int
+    # a given map is updated in place and returned
+    out = {(2, 0): 5, (0, 2): 1}
+    assert _collect([((2, 0), -5), ((0, 2), half)], out) is out
+    assert out == {(0, 2): Fraction(3, 2)}
 
 
 def test_mismatched_varsets_rejected():
@@ -838,6 +851,10 @@ def _evaluate(node):
 @example((("pow", ("sub", ("var", "x1"), ("var", "x1")), 0), "(x1-x1)^0"))
 @example((("mul", ("num", 4, 2), ("pow", ("num", 1, 2), 2)), "4/2*1/2^2"))
 @example((("sub", ("var", "x2"), ("neg", ("neg", ("var", "x2")))), "x2 - --x2"))
+@example((("add", ("mul", ("num", 1, 2), ("var", "x1")), ("mul", ("num", 1, 2), ("var", "x1"))),
+          "1/2*x1 + 1/2*x1"))
+@example((("sub", ("sub", ("var", "x1"), ("mul", ("num", 1, 2), ("var", "x1"))),
+                  ("mul", ("num", 1, 2), ("var", "x1"))), "x1 - 1/2*x1 - 1/2*x1"))
 def test_parse_matches_ring_arithmetic(case):
     tree, text = case
     p = parse(text, V3)
