@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .expansion import (
     BudgetExceededError,
     ExpansionReport,
-    SetSpec,
     degenerate_demo,
+    draw_sets,
     expansion_report,
     generate_set,
     image_size,
@@ -63,7 +63,6 @@ __all__ = [
     "RankReport",
     "ReductionError",
     "ReductionResult",
-    "SetSpec",
     "SpecialFormVerdict",
     "VarSet",
     "VolumeSet",
@@ -74,6 +73,7 @@ __all__ = [
     "degenerate_demo",
     "depends_on_all",
     "distinct_volumes",
+    "draw_sets",
     "exact_div",
     "expansion_report",
     "generate_set",

@@ -21,24 +21,21 @@ from typing import Sequence
 from . import __version__
 from .expansion import (
     DEFAULT_BUDGET,
-    SetSpec,
+    SET_KINDS,
     _check_budget,
-    _set_seed,
     degenerate_demo,
+    draw_sets,
     expansion_report,
-    generate_set,
 )
 from .incidence import build_instance, full_report
 from .moment import distinct_volumes, moment_summary, volume_expansion_report
 from .parsing import parse
-from .poly import _CHUNK, VarSet, _decimal, _from_decimal
+from .poly import _CHUNK, VarSet, _as_scalar, _decimal, _from_decimal
 from .rank import rank
 from .reduction import DEFAULT_MAX_ATTEMPTS, grid_reduce, reduce
 from .special import is_special
 
 SPEC_VERSION = "1"
-
-_GENERATOR_KINDS = ("interval", "geometric", "random_int")
 
 
 def _default_budget() -> int:
@@ -83,24 +80,29 @@ def _parse_vars(text: str) -> VarSet:
 
 
 def _parse_sets(text: str, vars: VarSet, seed: int, budget: int | None = None) -> list[tuple]:
-    """Either 'kind:n' (one recipe for every variable, per-variable seeds)
-    or explicit '|'-separated value lists, one per variable.  A 'kind:n'
+    """Either 'kind:n' (one recipe for every variable, drawn by
+    :func:`draw_sets`) or explicit '|'-separated value lists, one per
+    variable, each sorted with integral values as ``int``.  A 'kind:n'
     grid over ``budget`` tuples is refused before any set is drawn."""
     if "|" in text or ":" not in text:
-        groups = [tuple(_parse_list(group, "--sets", _rational, "rationals")) for group in text.split("|")]
+        groups = [tuple(sorted(map(_as_scalar, _parse_list(group, "--sets", _rational, "rationals"))))
+                  for group in text.split("|")]
         if len(groups) != vars.k:
             raise ValueError(f"need {vars.k} explicit sets separated by '|', got {len(groups)}")
-        return [generate_set(SetSpec("explicit", len(values), params=values)) for values in groups]
+        for values in groups:
+            if len(set(values)) != len(values):
+                raise ValueError(f"explicit set {', '.join(map(str, values))} must list {len(values)} distinct values")
+        return groups
     kind, _, n_text = text.partition(":")
-    if kind not in _GENERATOR_KINDS:
-        raise ValueError(f"unknown set kind {kind!r} (expected one of {', '.join(_GENERATOR_KINDS)})")
+    if kind not in SET_KINDS:
+        raise ValueError(f"unknown set kind {kind!r} (expected one of {', '.join(SET_KINDS)})")
     try:
         n = int(n_text)
     except ValueError:
         raise ValueError(f"set size must be an integer, got {n_text!r}") from None
     if budget is not None and n > 0:
         _check_budget(n**vars.k, budget)
-    return [generate_set(SetSpec(kind, n, seed=_set_seed(seed, i))) for i in range(vars.k)]
+    return draw_sets(kind, n, vars.k, seed)
 
 
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
@@ -219,22 +221,20 @@ def _cmd_incidence(args: argparse.Namespace) -> int:
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
+    # the parser admits exactly one of --summary, --points and --n
     if args.summary:
         _emit(moment_summary(args.d))
-        return 0
-    if args.points:
+    elif args.points is not None:
         params = _parse_list(args.points, "--points", _rational, "rationals")
         if len(set(params)) != len(params):
             raise ValueError(f"--points must be distinct rationals, got {args.points!r}")
         if len(params) <= args.d:
             raise ValueError(f"--points needs at least d+1 = {args.d + 1} rationals, got {args.points!r}")
         _emit(distinct_volumes(params, args.d, signed=args.signed).to_json_dict())
-        return 0
-    if args.n:
+    else:
         n_list = _parse_sizes(args.n, args.d + 1, 1)
         _emit(volume_expansion_report(n_list, args.sets, args.d, seed=args.seed, signed=args.signed))
-        return 0
-    raise ValueError("moment needs one of --points, --n, or --summary")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="exact image sizes and fitted growth exponent")
     add_poly_args(p_expand, required=False)
     p_expand.add_argument("--n", help="comma-separated strictly increasing set sizes")
-    p_expand.add_argument("--sets", choices=_GENERATOR_KINDS, default="random_int",
+    p_expand.add_argument("--sets", choices=SET_KINDS, default="random_int",
                           help="set generator recipe")
     p_expand.add_argument("--seed", type=int, default=0)
     p_expand.add_argument("--budget", type=_positive_int, default=None,
@@ -300,12 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_moment = sub.add_parser("moment", help="moment-curve simplex volumes")
     p_moment.add_argument("--d", type=_positive_int, required=True, help="ambient dimension")
-    p_moment.add_argument("--points", help="comma-separated distinct parameters")
-    p_moment.add_argument("--n", help="comma-separated sizes for an expansion report")
-    p_moment.add_argument("--sets", choices=_GENERATOR_KINDS, default="random_int")
+    mode = p_moment.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--points", help="comma-separated distinct parameters")
+    mode.add_argument("--n", help="comma-separated sizes for an expansion report")
+    mode.add_argument("--summary", action="store_true", help="verify the symbolic identities")
+    p_moment.add_argument("--sets", choices=SET_KINDS, default="random_int")
     p_moment.add_argument("--seed", type=int, default=0)
     p_moment.add_argument("--signed", action="store_true", help="count both orientations")
-    p_moment.add_argument("--summary", action="store_true", help="verify the symbolic identities")
 
     return parser
 

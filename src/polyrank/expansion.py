@@ -36,6 +36,7 @@ r; the fit is a desk-scale trend indicator, not a proof of anything.
 from __future__ import annotations
 
 import math
+import random
 import statistics
 import time
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from operator import add as _add, mul as _mul
 from typing import Sequence
 
 from .parsing import parse
-from .poly import Polynomial, Scalar, VarSet, _as_scalar, _cleared, _over
+from .poly import Polynomial, Scalar, VarSet, _cleared, _over
 from .rank import rank
 
 DEFAULT_BUDGET = 10**8
@@ -69,35 +70,31 @@ def theoretical_exponent(r: int) -> Fraction:
     return Fraction(5 * r - 4, 2 * r)
 
 
-@dataclass(frozen=True)
-class SetSpec:
-    """Deterministic recipe for a finite set of n distinct rationals."""
-
-    kind: str  # interval | geometric | random_int | explicit
-    n: int
-    seed: int = 0
-    params: tuple = ()
+SET_KINDS = ("interval", "geometric", "random_int")
 
 
-def generate_set(spec: SetSpec) -> tuple[Scalar, ...]:
-    """Materialize a SetSpec into a sorted tuple of n distinct values."""
-    import random
-
-    if spec.n < 1:
+def generate_set(kind: str, n: int, seed: int = 0) -> tuple[int, ...]:
+    """The sorted set of n distinct integers that recipe ``kind``, one of
+    :data:`SET_KINDS`, gives: 1..n, the powers 2^0..2^(n-1), or n values
+    drawn without replacement from 0..n^3 by ``random.Random(seed)``,
+    where :func:`draw_sets` passes set i the seed ``seed * 7919 + i``."""
+    if n < 1:
         raise ValueError("set size must be >= 1")
-    if spec.kind == "interval":
-        return tuple(range(1, spec.n + 1))
-    if spec.kind == "geometric":
-        return tuple(1 << i for i in range(spec.n))
-    if spec.kind == "random_int":
-        rng = random.Random(spec.seed)
-        return tuple(sorted(rng.sample(range(0, spec.n**3 + 1), spec.n)))
-    if spec.kind == "explicit":
-        values = tuple(sorted(_as_scalar(Fraction(v)) for v in spec.params))
-        if len(values) != spec.n or len(set(values)) != spec.n:
-            raise ValueError(f"explicit set {', '.join(map(str, values))} must list {spec.n} distinct values")
-        return values
-    raise ValueError(f"unknown set kind {spec.kind!r}")
+    if kind == "interval":
+        return tuple(range(1, n + 1))
+    if kind == "geometric":
+        return tuple(1 << i for i in range(n))
+    if kind == "random_int":
+        return tuple(sorted(random.Random(seed).sample(range(0, n**3 + 1), n)))
+    raise ValueError(f"unknown set kind {kind!r}")
+
+
+def draw_sets(kind: str, n: int, count: int, seed: int = 0) -> list[tuple[int, ...]]:
+    """``count`` sets of recipe ``kind`` and size n, one per variable: set i
+    is ``generate_set(kind, n, seed * 7919 + i)``.  This stream rule is
+    the library's only one, so a seed names the same sets in every
+    command that draws them."""
+    return [generate_set(kind, n, seed * 7919 + i) for i in range(count)]
 
 
 def _column(pairs: Sequence[tuple[int, int]], powers: dict[int, list[int]], n: int) -> list[int]:
@@ -268,10 +265,6 @@ class ExpansionReport:
         return "\n".join(lines) + "\n"
 
 
-def _set_seed(seed: int, var_index: int) -> int:
-    return seed * 7919 + var_index
-
-
 def expansion_report(
     f: Polynomial,
     generator: str,
@@ -282,8 +275,8 @@ def expansion_report(
     """Measure |f(A_1, ..., A_k)| for each n in ``n_list`` and fit the
     growth exponent.
 
-    ``generator`` names the set recipe (interval, geometric, random_int);
-    random sets get per-variable seeds derived from ``seed``.  The
+    ``generator`` names the set recipe, one of :data:`SET_KINDS`, and
+    :func:`draw_sets` draws the k sets of each size from ``seed``.  The
     ``lower_bound_respected`` flag checks the largest measurement against
     n^(theoretical - 0.25); the 0.25 slack absorbs the unspecified
     constant, so the flag is a sanity indicator, not a test of the bound.
@@ -300,10 +293,7 @@ def expansion_report(
     theo = theoretical_exponent(r)
     rows = []
     for n in n_list:
-        sets = [
-            generate_set(SetSpec(kind=generator, n=n, seed=_set_seed(seed, i)))
-            for i in range(f.vars.k)
-        ]
+        sets = draw_sets(generator, n, f.vars.k, seed)
         started = time.perf_counter()
         size = image_size(f, sets, budget=budget)
         rows.append((n, size, time.perf_counter() - started))
@@ -341,9 +331,8 @@ def degenerate_demo(k: int, n: int, seed: int = 0, budget: int = DEFAULT_BUDGET)
     zs = tuple(f"z{i}" for i in range(1, k + 1))
     f = parse(" + ".join(("x*y",) + zs), VarSet(("x", "y") + zs))
 
-    a = generate_set(SetSpec("random_int", n, seed=_set_seed(seed, 0)))
-    b = generate_set(SetSpec("random_int", n, seed=_set_seed(seed, 1)))
-    interval = generate_set(SetSpec("interval", n))
+    a, b = draw_sets("random_int", n, 2, seed)
+    interval = generate_set("interval", n)
     full_image = image_values(f, [a, b] + [interval] * k, budget=budget)
 
     g = parse("x*y + z", VarSet(("x", "y", "z")))

@@ -55,10 +55,8 @@ from typing import Sequence
 from .expansion import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    SetSpec,
-    _set_seed,
+    draw_sets,
     fit_exponent,
-    generate_set,
     theoretical_exponent,
 )
 from .poly import Polynomial, Scalar, VarSet, _cleared, _collect, _over
@@ -322,7 +320,7 @@ def volume_expansion_report(
         _check_simplices(n, d)
     rows = []
     for n in n_list:
-        params = generate_set(SetSpec(kind=generator, n=n, seed=_set_seed(seed, 0)))
+        (params,) = draw_sets(generator, n, 1, seed)
         rows.append((n, distinct_volumes(params, d, signed=signed).count))
     fitted = fit_exponent(rows) if len(rows) >= 3 else None
     return {

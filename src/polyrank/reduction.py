@@ -13,6 +13,7 @@ the restriction; the first certified assignment wins.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,13 +140,11 @@ def grid_reduce(
     r, kept, fixed = _prepare(f, v)
     pools = {name: list(s) for name, s in zip(f.vars.names, sets)}
     fixed_pools = [pools[name] for name in fixed]
-    grid_size = 1
-    for pool in fixed_pools:
-        grid_size *= len(pool)
+    grid_size = math.prod(map(len, fixed_pools))
     rng = random.Random(seed)
     candidates: list[tuple[Scalar, ...]]
     if grid_size <= max_attempts:
-        candidates = list(iter_product(*fixed_pools)) if fixed else [()]
+        candidates = list(iter_product(*fixed_pools))
         rng.shuffle(candidates)
     else:
         candidates = [tuple(rng.choice(pool) for pool in fixed_pools) for _ in range(max_attempts)]

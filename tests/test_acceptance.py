@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from polyrank import (
     Polynomial,
-    SetSpec,
     coefficient_map,
     degenerate_demo,
     depends_on_all,
@@ -138,7 +137,7 @@ def test_criterion_4_reduction_certification():
 def test_criterion_5_expansion_identities():
     f = parse("x1+x2+x3", var_set(3))
     for n in (10, 20, 40, 80):
-        sets = [generate_set(SetSpec("interval", n))] * 3
+        sets = [generate_set("interval", n)] * 3
         assert image_size(f, sets) == 3 * n - 2
 
     for k in (1, 2, 3):
@@ -159,7 +158,7 @@ def test_criterion_6_incidence_identities():
     for text in ("x1*x2 + x3", "x1*x2^2 + x3"):
         f = parse(text, var_set(3))
         for n in (3, 4):
-            sets = [generate_set(SetSpec("interval", n))] * 3
+            sets = [generate_set("interval", n)] * 3
             inst = build_instance(f, sets)
             assert inst.s_size == n ** 3
             assert inst.s_size == inst.s0_size + inst.sprime_size
@@ -240,7 +239,7 @@ def test_criterion_8_cli_determinism():
 
 def test_criterion_9_performance_guard():
     f = parse("x1*x2 + x3", var_set(3))
-    sets = [generate_set(SetSpec("random_int", 200, seed=i)) for i in range(3)]
+    sets = [generate_set("random_int", 200, seed=i) for i in range(3)]
     started = time.perf_counter()
     size = image_size(f, sets)
     elapsed = time.perf_counter() - started

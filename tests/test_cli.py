@@ -171,11 +171,23 @@ def test_invalid_n_names_the_flag(capsys, argv):
     assert repr(argv[-1]) in err
 
 
-@pytest.mark.parametrize("points", ["0,abc,2", "1/0,1,2", "0,,2"])
+@pytest.mark.parametrize("points", ["0,abc,2", "1/0,1,2", "0,,2", ""])
 def test_malformed_points_is_1(capsys, points):
     code, out, err = run_cli(capsys, "moment", "--d", "2", "--points", points)
     assert (code, out) == (1, "")
     assert err == f"polyrank: error: --points must be comma-separated rationals, got {points!r}\n"
+
+
+@pytest.mark.parametrize("modes, message", [
+    (("--points", "1,2,3", "--summary"), "argument --summary: not allowed with argument --points"),
+    (("--points", "1,2,3", "--n", "3,4,5"), "argument --n: not allowed with argument --points"),
+    (("--summary", "--n", "3,4,5"), "argument --n: not allowed with argument --summary"),
+    ((), "one of the arguments --points --n --summary is required"),
+])
+def test_moment_takes_exactly_one_mode(capsys, modes, message):
+    code, out, err = run_cli(capsys, "moment", "--d", "2", *modes)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"polyrank moment: error: {message}\n")
 
 
 @pytest.mark.parametrize("points, message", [
@@ -299,9 +311,8 @@ def test_memory_error_is_1(capsys, monkeypatch):
 ])
 def test_over_budget_grid_is_refused_before_any_set_is_drawn(capsys, monkeypatch, argv):
     fail = lambda *args, **kwargs: pytest.fail("a set was drawn or f ranked")
-    for module in ("polyrank.cli", "polyrank.expansion"):
-        monkeypatch.setattr(importlib.import_module(module), "generate_set", fail)
-    monkeypatch.setattr(importlib.import_module("polyrank.expansion"), "rank", fail)
+    for name in ("generate_set", "rank"):
+        monkeypatch.setattr(importlib.import_module("polyrank.expansion"), name, fail)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

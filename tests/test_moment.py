@@ -388,7 +388,7 @@ def test_distinct_volumes_validation():
 
 
 def test_simplex_budget_is_checked_before_any_enumeration(monkeypatch):
-    for name in ("combinations", "_cleared", "generate_set"):
+    for name in ("combinations", "_cleared", "draw_sets"):
         monkeypatch.setattr(moment_module, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
     # C(400, 6) and C(3000, 4) simplices
     with pytest.raises(BudgetExceededError, match=r"^400 parameters span 5478557838600 simplices, over the budget of 100000000$"):
